@@ -78,14 +78,13 @@ def resolve_run_config(args) -> RunConfig:
         (getattr(args, "target", None) or file_cfg.get("target", "valence")).split(",")
     )
 
-    for name, value in (
-        ("max_epochs", getattr(args, "max_epochs", None)),
-        ("batch_size", getattr(args, "batch_size", None)),
-        ("patience", getattr(args, "patience", None)),
-        ("learning_rate", getattr(args, "learning_rate", None)),
-    ):
-        if value is not None:
-            tcfg = replace(tcfg, **{name: value})
+    # one replace, so fields that constrain each other (patience < max_epochs)
+    # are validated together, not against the defaults one flag at a time
+    overrides = {
+        name: getattr(args, name, None)
+        for name in ("max_epochs", "batch_size", "patience", "learning_rate")
+    }
+    tcfg = replace(tcfg, **{k: v for k, v in overrides.items() if v is not None})
 
     return RunConfig(fspec, sspec, mcfg, tcfg, dataset, out_dir, variants, targets, seed, jobs)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ConfigError, ShapeError, StateError
 
@@ -21,6 +22,12 @@ MODES = ("train", "infer")
 PADDINGS = ("same", "causal")
 CONV_ACTIVATIONS = ("relu", "none")
 DENSE_ACTIVATIONS = ("softmax", "none")
+# Cap on the elements of one unfolded convolution block. 2**17 float64 is
+# 1 MB, which stays in a core's L2 cache between the copy that fills it and
+# the matmul that reads it: on a Xeon with 2 MB L2 per core, 2**20 made a
+# B=512 train step ~15% slower. A B=512 batch never materialises its whole
+# unfolded input (393 MB for conv1).
+CHUNK_ELEMS = 2**17
 
 
 def _check_mode(mode: str) -> None:
@@ -71,9 +78,16 @@ class Layer:
         return np.inf
 
     def _tape(self):
+        """Hand the tape to backward and drop the layer's reference, so
+        the recorded arrays are freed as soon as backward is done with
+        them; a second backward needs a new forward."""
         if self._cache is None:
-            raise StateError(f"{type(self).__name__}.backward called before forward")
-        return self._cache
+            raise StateError(
+                f"{type(self).__name__}.backward called without a forward since "
+                "the last backward"
+            )
+        tape, self._cache = self._cache, None
+        return tape
 
 
 @dataclass(frozen=True)
@@ -113,6 +127,17 @@ class Conv1d(Layer):
     total pad floor(pad/2) left and the remainder right. 'causal' padding
     puts all (kernel-1)*dilation pad samples on the left so output t never
     sees input beyond t, and keeps time_out = time.
+
+    One kernel serves every padding, stride and dilation. The padded input
+    is read through a window view [batch, time_out, kernel, channels] whose
+    element [b, t, j, c] is xp[b, t*stride + j*dilation, c]; the output is
+    that view unfolded to [batch*time_out, kernel*channels] times W
+    reshaped to [kernel*channels, filters], and dW is the unfolded view
+    transposed times dy. The unfolded copy is built a few batch rows at a
+    time, at most CHUNK_ELEMS elements each (or one row, if a row is
+    larger), so its memory stays bounded whatever the batch size. dX is
+    scattered back one tap at a time, chunk by chunk: dy @ W[j].T added
+    into the input positions that tap j read.
     """
 
     def __init__(self, in_channels: int, spec: Conv1dSpec, rng: np.random.Generator):
@@ -130,6 +155,17 @@ class Conv1d(Layer):
             return -(-time // self.spec.stride)
         return time
 
+    def _unfolded(self, xp):
+        """Yield (batch slice, unfolded windows [rows*time_out, kernel*channels])."""
+        k, s, d = self.spec.kernel_size, self.spec.stride, self.spec.dilation
+        win = sliding_window_view(xp, (k - 1) * d + 1, axis=1)[:, ::s, :, ::d]
+        win = win.swapaxes(2, 3)
+        width = k * self.in_channels
+        rows = max(1, CHUNK_ELEMS // (win.shape[1] * width))
+        for b0 in range(0, xp.shape[0], rows):
+            sl = slice(b0, b0 + rows)
+            yield sl, win[sl].reshape(-1, width)
+
     def forward(self, x, mode="train", rng=None):
         _check_mode(mode)
         x = np.asarray(x, dtype=np.float64)
@@ -138,23 +174,21 @@ class Conv1d(Layer):
                 f"conv1d expected [batch, time, {self.in_channels}], got {x.shape}"
             )
         spec = self.spec
-        k, s, d = spec.kernel_size, spec.stride, spec.dilation
+        k, s, d, f = spec.kernel_size, spec.stride, spec.dilation, spec.filters
         bsz, t, _ = x.shape
+        t_out = self.output_len(t)
         if spec.padding == "same":
-            t_out = -(-t // s)
             pad = max((t_out - 1) * s + k - t, 0)
             left = pad // 2
             right = pad - left
         else:
-            t_out = t
             left = (k - 1) * d
             right = 0
         xp = np.pad(x, ((0, 0), (left, right), (0, 0)))
-        w = self.params["W"]
-        z = np.zeros((bsz, t_out, spec.filters))
-        span = (t_out - 1) * s + 1
-        for j in range(k):
-            z += xp[:, j * d : j * d + span : s, :] @ w[j]
+        w = self.params["W"].reshape(-1, f)
+        z = np.empty((bsz, t_out, f))
+        for sl, cols in self._unfolded(xp):
+            np.matmul(cols, w, out=z[sl].reshape(-1, f))
         z += self.params["b"]
         self._cache = (xp, z, t, left)
         if spec.activation == "relu":
@@ -164,20 +198,21 @@ class Conv1d(Layer):
     def backward(self, dy):
         xp, z, t, left = self._tape()
         spec = self.spec
-        k, s, d = spec.kernel_size, spec.stride, spec.dilation
+        k, s, d, f = spec.kernel_size, spec.stride, spec.dilation, spec.filters
         dy = np.asarray(dy, dtype=np.float64)
         if spec.activation == "relu":
             dy = dy * (z > 0.0)
         w = self.params["W"]
-        dw = np.empty_like(w)
-        dxp = np.zeros_like(xp)
         t_out = dy.shape[1]
+        dw = np.zeros((k * self.in_channels, f))
+        dxp = np.zeros_like(xp)
         span = (t_out - 1) * s + 1
-        for j in range(k):
-            sl = slice(j * d, j * d + span, s)
-            dw[j] = np.einsum("btc,btf->cf", xp[:, sl, :], dy)
-            dxp[:, sl, :] += dy @ w[j].T
-        self.grads = {"W": dw, "b": dy.sum(axis=(0, 1))}
+        for sl, cols in self._unfolded(xp):
+            dyc, dxc = dy[sl], dxp[sl]
+            dw += cols.T @ dyc.reshape(-1, f)
+            for j in range(k):
+                dxc[:, j * d : j * d + span : s, :] += dyc @ w[j].T
+        self.grads = {"W": dw.reshape(w.shape), "b": dy.sum(axis=(0, 1))}
         return dxp[:, left : left + t, :]
 
     def kink_margin(self) -> float:

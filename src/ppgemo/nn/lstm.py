@@ -16,18 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from ..errors import ConfigError, ShapeError
 from .layers import Layer, _check_mode, glorot_uniform
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 @dataclass(frozen=True)
@@ -70,16 +62,13 @@ class Lstm(Layer):
         hiddens = np.zeros((t + 1, bsz, u))  # hiddens[k] is h_{k-1} seen by step k
         for k in range(t):
             z = x[:, k, :] @ w + h @ r + bias
-            i = _sigmoid(z[:, :u])
-            f = _sigmoid(z[:, u : 2 * u])
-            g = np.tanh(z[:, 2 * u : 3 * u])
-            o = _sigmoid(z[:, 3 * u :])
+            gate = gates[k]
+            # one logistic pass over the packed block; g is then overwritten
+            expit(z, out=gate)
+            i, f, g, o = gate[:, :u], gate[:, u : 2 * u], gate[:, 2 * u : 3 * u], gate[:, 3 * u :]
+            np.tanh(z[:, 2 * u : 3 * u], out=g)
             c = f * c + i * g
             h = o * np.tanh(c)
-            gates[k, :, :u] = i
-            gates[k, :, u : 2 * u] = f
-            gates[k, :, 2 * u : 3 * u] = g
-            gates[k, :, 3 * u :] = o
             cells[k] = c
             hiddens[k + 1] = h
         self._cache = (x, gates, cells, hiddens)

@@ -135,7 +135,15 @@ class Tcn(Layer):
 
     def backward_sequence(self, dseq):
         z, _ = self._tape()
-        dseq = np.asarray(dseq, dtype=np.float64)
+        return self._backward_blocks(z, np.asarray(dseq, dtype=np.float64))
+
+    def backward(self, dy):
+        z, shape = self._tape()
+        dseq = np.zeros(shape)
+        dseq[:, -1, :] = np.asarray(dy, dtype=np.float64)
+        return self._backward_blocks(z, dseq)
+
+    def _backward_blocks(self, z, dseq):
         if z is not None:
             dskip = dseq * (z > 0.0)
             dh = np.zeros_like(dskip)
@@ -147,12 +155,6 @@ class Tcn(Layer):
             dout = dh if dskip is None else dh + dskip
             dh = block.backward(dout)
         return dh
-
-    def backward(self, dy):
-        _, shape = self._tape()
-        dseq = np.zeros(shape)
-        dseq[:, -1, :] = np.asarray(dy, dtype=np.float64)
-        return self.backward_sequence(dseq)
 
     def kink_margin(self) -> float:
         if self._cache is None:

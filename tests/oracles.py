@@ -81,3 +81,47 @@ def hr_variability_stat(x, fs_hz, chunk_s=10.0):
         band = (freqs >= 0.5) & (freqs <= 3.5)
         found.append(freqs[band][mag[band].argmax()])
     return float(np.std(found))
+
+
+def _conv1d_pad(x, spec):
+    k, s, d = spec.kernel_size, spec.stride, spec.dilation
+    t = x.shape[1]
+    if spec.padding == "same":
+        t_out = -(-t // s)
+        pad = max((t_out - 1) * s + k - t, 0)
+        left = pad // 2
+        right = pad - left
+    else:
+        t_out = t
+        left = (k - 1) * d
+        right = 0
+    return np.pad(x, ((0, 0), (left, right), (0, 0))), t_out, left
+
+
+def conv1d_forward(x, w, b, spec):
+    """Conv1d output and pre-activation, one matmul per kernel tap."""
+    k, s, d = spec.kernel_size, spec.stride, spec.dilation
+    xp, t_out, _ = _conv1d_pad(x, spec)
+    z = np.zeros((x.shape[0], t_out, spec.filters))
+    span = (t_out - 1) * s + 1
+    for j in range(k):
+        z += xp[:, j * d : j * d + span : s, :] @ w[j]
+    z += b
+    y = np.maximum(z, 0.0) if spec.activation == "relu" else z
+    return y, z
+
+
+def conv1d_backward(x, w, spec, z, dy):
+    """(dx, dW, db) of Conv1d, one einsum and one scatter per kernel tap."""
+    k, s, d = spec.kernel_size, spec.stride, spec.dilation
+    xp, t_out, left = _conv1d_pad(x, spec)
+    if spec.activation == "relu":
+        dy = dy * (z > 0.0)
+    dw = np.empty_like(w)
+    dxp = np.zeros_like(xp)
+    span = (t_out - 1) * s + 1
+    for j in range(k):
+        sl = slice(j * d, j * d + span, s)
+        dw[j] = np.einsum("btc,btf->cf", xp[:, sl, :], dy)
+        dxp[:, sl, :] += dy @ w[j].T
+    return dxp[:, left : left + x.shape[1], :], dw, dy.sum(axis=(0, 1))

@@ -214,3 +214,16 @@ def test_usage_error_exit_code():
 def test_validation_failure_exit_code(tmp_path):
     code = main(["loso", "--dataset", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+def test_train_flag_overrides_are_validated_together(synth_dir, config_file, tmp_path):
+    # the config file sets max_epochs=4, patience=2: lowering max_epochs to 2
+    # is only valid together with the lower patience from the same command
+    out = tmp_path / "run"
+    argv = ["train", "--dataset", str(synth_dir), "--out", str(out), "--config",
+            str(config_file), "--variant", "cnn", "--val-subjects", "S03",
+            "--max-epochs", "2", "--patience", "1"]
+    assert main(argv) == 0
+    echoed = json.loads((out / "run_config.json").read_text())
+    assert (echoed["train"]["max_epochs"], echoed["train"]["patience"]) == (2, 1)
+    assert main([*argv[:-2], "--patience", "2"]) == 1

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ppgemo.errors import ConfigError, ShapeError
+from ppgemo.errors import ConfigError, ShapeError, StateError
 from ppgemo.models import (
+    VARIANTS,
     ConvStage,
     Model,
     ModelConfig,
@@ -10,7 +13,7 @@ from ppgemo.models import (
     model_config_from_dict,
     model_config_to_dict,
 )
-from ppgemo.nn import TcnSpec
+from ppgemo.nn import Layer, TcnSpec
 from ppgemo.training import weighted_cce_grad
 
 # small configuration so model tests stay fast; shapes:
@@ -129,6 +132,28 @@ def test_every_parameter_receives_gradient(variant):
         if not pending:
             break
     assert not pending, f"parameters with all-zero gradients: {sorted(pending)}"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_backward_frees_every_tape(variant, rng):
+    model = build(replace(SMALL, variant=variant), rng)
+    x = rng.standard_normal((4, 240, 1))
+    probs = model.forward(x, "train", rng)
+    dprobs = weighted_cce_grad(probs, np.eye(2)[[0, 1, 0, 1]], np.ones(2))
+    model.backward(dprobs)
+    layers = [layer for _, layer in model._named_layers()]
+    if "tcn" in model.branches:
+        layers += [
+            sub
+            for block in model.branches["tcn"].blocks
+            for sub in vars(block).values()
+            if isinstance(sub, Layer)
+        ]
+    assert [layer for layer in layers if layer._cache is not None] == []
+    with pytest.raises(StateError, match="without a forward"):
+        model.backward(dprobs)
+    model.forward(x, "train", rng)
+    model.backward(dprobs)
 
 
 def test_save_load_round_trip(rng, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ppgemo.errors import ConfigError
+from ppgemo.errors import ConfigError, StateError
 from ppgemo.nn import Tcn, TcnSpec
 
 
@@ -66,3 +66,11 @@ def test_residual_projection_only_when_channels_differ(rng):
     tcn = Tcn(6, TcnSpec(filters=4, kernel_size=3, dilations=(1, 2)), rng)
     assert any(name.startswith("block0.proj") for name in tcn.named_params())
     assert all(not name.startswith("block1.proj") for name in tcn.named_params())
+
+
+def test_backward_sequence_consumes_the_tape(rng):
+    tcn = Tcn(2, TcnSpec(filters=3, kernel_size=3, dilations=(1, 2)), rng)
+    out = tcn.forward_sequence(rng.standard_normal((2, 12, 2)), "infer")
+    tcn.backward_sequence(np.ones_like(out))
+    with pytest.raises(StateError):
+        tcn.backward_sequence(np.ones_like(out))
