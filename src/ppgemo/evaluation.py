@@ -147,13 +147,11 @@ def auc(scores, labels) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def evaluate_fold(model, test_segments, target: str, trial_majority_vote: bool = False) -> FoldMetrics:
+def evaluate_fold(model, test_segments, target: str) -> FoldMetrics:
     """Infer-mode metrics on one held-out subject.
 
     Predictions are the argmax of the class probabilities (exact ties go
-    to class 0) and AUC uses the class-1 probability. With
-    `trial_majority_vote`, segment predictions are collapsed to one vote
-    per trial and scores to the mean class-1 probability.
+    to class 0) and AUC uses the class-1 probability.
     """
     if not test_segments:
         raise DataError("empty test set")
@@ -167,14 +165,6 @@ def evaluate_fold(model, test_segments, target: str, trial_majority_vote: bool =
     probs = predict_proba(model, x)
     scores = probs[:, 1]
     preds = probs.argmax(axis=1)
-
-    if trial_majority_vote:
-        trials = sorted({s.trial_id for s in test_segments})
-        t_ids = np.array([s.trial_id for s in test_segments])
-        preds = np.array([int(preds[t_ids == t].mean() > 0.5) for t in trials])
-        scores = np.array([scores[t_ids == t].mean() for t in trials])
-        y = np.array([y[t_ids == t][0] for t in trials])
-
     try:
         auc_val = auc(scores, y)
     except MetricUndefinedError:

@@ -30,13 +30,15 @@ from .nn.layers import (
     GlobalMaxPool,
     MaxPool1d,
     MaxPool1dSpec,
+    gather,
 )
 from .nn.lstm import Lstm, LstmSpec
 from .nn.tcn import Tcn, TcnSpec
 
 VARIANTS = ("cnn", "cnn_lstm", "cnn_tcn_lstm")
 
-MANIFEST_FORMAT = "ppgemo-model/1"
+MANIFEST_FORMAT = "ppgemo-model/2"
+LEGACY_MANIFEST_FORMAT = "ppgemo-model/1"  # one bn_initialized flag, no seen_batch
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,11 @@ def model_config_from_dict(d: dict) -> ModelConfig:
 
 
 class Model:
-    """Ordered layer graph with an explicit train/infer mode on forward.
+    """Trunk -> branches -> concat -> head, with an explicit train/infer
+    mode on forward.
 
+    Every branch reads the trunk output; their features are concatenated
+    in branch order (a single branch feeds the head as it is).
     `shape_trace` records the (stage, shape) sequence of the latest
     forward call. Parameters are exposed as one flat dict of live arrays
     keyed by dotted layer paths, which the optimizer updates in place.
@@ -112,36 +117,25 @@ class Model:
         self.branches = branches  # dict name -> layer
         self.head = head
         self.shape_trace: list[tuple[str, tuple[int, ...]]] = []
+        self._widths: list[int] = []  # branch feature widths of the last forward
 
     # -- parameter plumbing -------------------------------------------------
 
-    def _named_layers(self):
-        for name, layer in self.trunk:
-            yield f"trunk.{name}", layer
-        for name, layer in self.branches.items():
-            yield name, layer
-        yield "head", self.head
+    def sublayers(self):
+        return (
+            [(f"trunk.{name}", layer) for name, layer in self.trunk]
+            + list(self.branches.items())
+            + [("head", self.head)]
+        )
 
     def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for scope, layer in self._named_layers():
-            for k, v in layer.named_params().items():
-                out[f"{scope}.{k}"] = v
-        return out
+        return gather(self, "params")
 
     def grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for scope, layer in self._named_layers():
-            for k, v in layer.named_grads().items():
-                out[f"{scope}.{k}"] = v
-        return out
+        return gather(self, "grads")
 
     def buffers(self) -> dict[str, np.ndarray]:
-        out = {}
-        for scope, layer in self._named_layers():
-            for k, v in layer.named_buffers().items():
-                out[f"{scope}.{k}"] = v
-        return out
+        return gather(self, "buffers")
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copies of all parameters and buffers, e.g. for restore-best."""
@@ -171,19 +165,14 @@ class Model:
         for name, layer in self.trunk:
             h = layer.forward(h, mode, rng)
             trace.append((name, h.shape))
-        variant = self.config.variant
-        if variant == "cnn":
-            feat = self.branches["gpool"].forward(h, mode, rng)
-            trace.append(("gpool", feat.shape))
-        elif variant == "cnn_lstm":
-            feat = self.branches["lstm"].forward(h, mode, rng)
-            trace.append(("lstm", feat.shape))
-        else:
-            t_feat = self.branches["tcn"].forward(h, mode, rng)
-            trace.append(("tcn", t_feat.shape))
-            l_feat = self.branches["lstm"].forward(h, mode, rng)
-            trace.append(("lstm", l_feat.shape))
-            feat = np.concatenate([t_feat, l_feat], axis=1)
+        feats = []
+        for name, branch in self.branches.items():
+            feats.append(branch.forward(h, mode, rng))
+            trace.append((name, feats[-1].shape))
+        self._widths = [f.shape[1] for f in feats]
+        feat = feats[0]
+        if len(feats) > 1:
+            feat = np.concatenate(feats, axis=1)
             trace.append(("concat", feat.shape))
         probs = self.head.forward(feat, mode, rng)
         trace.append(("head", probs.shape))
@@ -192,15 +181,9 @@ class Model:
 
     def backward(self, dprobs) -> np.ndarray:
         dfeat = self.head.backward(dprobs)
-        variant = self.config.variant
-        if variant == "cnn":
-            dh = self.branches["gpool"].backward(dfeat)
-        elif variant == "cnn_lstm":
-            dh = self.branches["lstm"].backward(dfeat)
-        else:
-            split = self.config.tcn.filters
-            dh = self.branches["tcn"].backward(dfeat[:, :split])
-            dh = dh + self.branches["lstm"].backward(dfeat[:, split:])
+        parts = np.split(dfeat, np.cumsum(self._widths)[:-1], axis=1)
+        dhs = [branch.backward(d) for branch, d in zip(self.branches.values(), parts)]
+        dh = sum(dhs[1:], dhs[0])
         for _, layer in reversed(self.trunk):
             dh = layer.backward(dh)
         return dh
@@ -221,9 +204,6 @@ class Model:
             "config": model_config_to_dict(self.config),
             "params": pack(self.params()),
             "buffers": pack(self.buffers()),
-            "bn_initialized": any(
-                getattr(layer, "seen_batch", False) for _, layer in self._named_layers()
-            ),
         }
         with open(path, "w") as fh:
             json.dump(manifest, fh, sort_keys=True)
@@ -232,21 +212,21 @@ class Model:
     def load(cls, path) -> "Model":
         with open(path) as fh:
             manifest = json.load(fh)
-        if manifest.get("format") != MANIFEST_FORMAT:
-            raise ConfigError(
-                f"unsupported model manifest format {manifest.get('format')!r}"
-            )
+        fmt = manifest.get("format")
+        if fmt not in (MANIFEST_FORMAT, LEGACY_MANIFEST_FORMAT):
+            raise ConfigError(f"unsupported model manifest format {fmt!r}")
         config = model_config_from_dict(manifest["config"])
         model = build(config, np.random.default_rng(0))
         stored = {}
         for section in ("params", "buffers"):
             for k, v in manifest[section].items():
                 stored[k] = np.asarray(v["data"], dtype=np.float64).reshape(v["shape"])
+        if fmt == LEGACY_MANIFEST_FORMAT:
+            seen = float(bool(manifest.get("bn_initialized")))
+            for k in model.buffers():
+                if k.endswith(".seen_batch"):
+                    stored[k] = np.array(seen)
         model.restore(stored)
-        if manifest.get("bn_initialized"):
-            for _, layer in model._named_layers():
-                if isinstance(layer, BatchNorm1d):
-                    layer.seen_batch = True
         return model
 
 
@@ -270,12 +250,10 @@ def build(config: ModelConfig, rng: np.random.Generator) -> Model:
     elif config.variant == "cnn_lstm":
         branches["lstm"] = Lstm(ch, LstmSpec(config.lstm_units), rng)
         feat = config.lstm_units
-    elif config.variant == "cnn_tcn_lstm":
+    else:  # cnn_tcn_lstm; ModelConfig rejects any other variant
         branches["tcn"] = Tcn(ch, config.tcn, rng)
         branches["lstm"] = Lstm(ch, LstmSpec(config.lstm_units), rng)
         feat = config.tcn.filters + config.lstm_units
-    else:  # pragma: no cover - rejected by ModelConfig
-        raise ConfigError(f"unknown variant {config.variant!r}")
 
-    head = Dense(feat, DenseSpec(config.output_classes, "softmax"), rng)
+    head = Dense(feat, DenseSpec(config.output_classes), rng)
     return Model(config, trunk, branches, head)

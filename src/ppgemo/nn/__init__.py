@@ -16,6 +16,7 @@ from .layers import (
     MaxPool1dSpec,
     glorot_uniform,
     softmax,
+    walk,
 )
 from .lstm import Lstm, LstmSpec
 from .tcn import Tcn, TcnSpec
@@ -39,4 +40,5 @@ __all__ = [
     "TcnSpec",
     "glorot_uniform",
     "softmax",
+    "walk",
 ]

@@ -152,8 +152,7 @@ def _case_maxpool(rng):
     t = int(rng.integers(3, 17))
     c = int(rng.integers(1, 5))
     pool = int(rng.integers(1, min(t, 4) + 1))
-    stride = None if rng.random() < 0.5 else int(rng.integers(1, pool + 2))
-    layer = MaxPool1d(MaxPool1dSpec(pool, stride))
+    layer = MaxPool1d(MaxPool1dSpec(pool))
     x = _spread_values(rng, (b, t, c))
     return _layer_case(layer, x)
 
@@ -218,7 +217,7 @@ def _case_dense_softmax_cce(rng):
 
     b = int(rng.integers(1, 4))
     fin = int(rng.integers(1, 5))
-    layer = Dense(fin, DenseSpec(2, "softmax"), rng)
+    layer = Dense(fin, DenseSpec(2), rng)
     x = rng.standard_normal((b, fin))
     y = rng.integers(0, 2, b)
     onehot = np.eye(2)[y]

@@ -7,6 +7,15 @@ records the values needed for differentiation (the tape), and
 gradients, and returns the gradient with respect to the layer input.
 Randomness is never ambient: layers that need it take an explicit
 ``numpy.random.Generator``.
+
+Only train-mode forwards record a tape; infer-mode forwards keep none.
+
+Layers form a tree: ``sublayers()`` lists a layer's parts as ``(name,
+layer)`` pairs (``[]`` for a leaf). A layer keeps only its own arrays in
+``params``, ``grads`` and ``buffers`` and overrides only
+``own_kink_margin``. One walk (``walk``/``gather``, which serve the model
+too) derives ``named_params``, ``named_grads`` and ``named_buffers``, keyed
+by dotted paths such as ``block0.conv_a.W``, and ``kink_margin``.
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ from ..errors import ConfigError, ShapeError, StateError
 MODES = ("train", "infer")
 PADDINGS = ("same", "causal")
 CONV_ACTIVATIONS = ("relu", "none")
-DENSE_ACTIVATIONS = ("softmax", "none")
 # Cap on the elements of one unfolded convolution block. 2**17 float64 is
 # 1 MB, which stays in a core's L2 cache between the copy that fills it and
 # the matmul that reads it: on a Xeon with 2 MB L2 per core, 2**20 made a
@@ -46,12 +54,29 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def walk(root, prefix: str = ""):
+    """Every layer below `root`, depth first, as (dotted path, layer)."""
+    for name, layer in root.sublayers():
+        yield prefix + name, layer
+        yield from walk(layer, f"{prefix}{name}.")
+
+
+def gather(root, attr: str) -> dict[str, np.ndarray]:
+    """The `attr` dicts ("params", "grads" or "buffers") of every layer below
+    `root`, as one flat dict of live arrays keyed "<path>.<array name>"."""
+    return {
+        f"{path}.{k}": v for path, layer in walk(root) for k, v in getattr(layer, attr).items()
+    }
+
+
 class Layer:
-    """Base forward/backward pair with parameter and gradient dicts."""
+    """Base forward/backward pair with parameter, gradient and buffer dicts."""
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        # non-trainable state (e.g. running stats), updated in place
+        self.buffers: dict[str, np.ndarray] = {}
         self._cache = None
 
     def forward(self, x, mode="train", rng=None):
@@ -60,31 +85,41 @@ class Layer:
     def backward(self, dy):
         raise NotImplementedError
 
+    def sublayers(self) -> list[tuple[str, "Layer"]]:
+        return []
+
     def named_params(self) -> dict[str, np.ndarray]:
-        """Live references to the trainable arrays."""
-        return dict(self.params)
+        """Live references to the trainable arrays of this layer's tree."""
+        return {**self.params, **gather(self, "params")}
 
     def named_grads(self) -> dict[str, np.ndarray]:
-        return dict(self.grads)
+        return {**self.grads, **gather(self, "grads")}
 
     def named_buffers(self) -> dict[str, np.ndarray]:
-        """Live references to non-trainable state (e.g. running stats)."""
-        return {}
+        return {**self.buffers, **gather(self, "buffers")}
 
     def kink_margin(self) -> float:
         """Distance from the last forward pass to the nearest point where
-        the layer is not differentiable (relu corner, pooling tie). Used
-        by the finite-difference checker to reject ill-posed cases."""
+        the layer tree is not differentiable (relu corner, pooling tie).
+        Used by the finite-difference checker to reject ill-posed cases."""
+        return min([self.own_kink_margin()] + [sub.own_kink_margin() for _, sub in walk(self)])
+
+    def own_kink_margin(self) -> float:
         return np.inf
+
+    def _record(self, mode, *tape):
+        """Keep the tape for backward; infer mode has no backward, so an
+        infer-mode forward keeps nothing."""
+        self._cache = tape if mode == "train" else None
 
     def _tape(self):
         """Hand the tape to backward and drop the layer's reference, so
         the recorded arrays are freed as soon as backward is done with
-        them; a second backward needs a new forward."""
+        them; a second backward needs a new train-mode forward."""
         if self._cache is None:
             raise StateError(
-                f"{type(self).__name__}.backward called without a forward since "
-                "the last backward"
+                f"{type(self).__name__}.backward called without a forward in train "
+                "mode since the last backward"
             )
         tape, self._cache = self._cache, None
         return tape
@@ -190,7 +225,7 @@ class Conv1d(Layer):
         for sl, cols in self._unfolded(xp):
             np.matmul(cols, w, out=z[sl].reshape(-1, f))
         z += self.params["b"]
-        self._cache = (xp, z, t, left)
+        self._record(mode, xp, z, t, left)
         if spec.activation == "relu":
             return np.maximum(z, 0.0)
         return z
@@ -215,7 +250,7 @@ class Conv1d(Layer):
         self.grads = {"W": dw.reshape(w.shape), "b": dy.sum(axis=(0, 1))}
         return dxp[:, left : left + t, :]
 
-    def kink_margin(self) -> float:
+    def own_kink_margin(self) -> float:
         if self._cache is None or self.spec.activation != "relu":
             return np.inf
         z = self._cache[1]
@@ -225,62 +260,53 @@ class Conv1d(Layer):
 @dataclass(frozen=True)
 class MaxPool1dSpec:
     pool_size: int
-    stride: int | None = None  # defaults to pool_size (non-overlapping)
 
     def __post_init__(self):
         if self.pool_size < 1:
             raise ConfigError(f"pool_size must be >= 1, got {self.pool_size}")
-        if self.stride is not None and self.stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {self.stride}")
 
 
 class MaxPool1d(Layer):
-    """Per-channel window maximum; trailing samples that cannot fill a
-    window are dropped."""
+    """Per-channel maximum over non-overlapping windows; trailing samples
+    that cannot fill a window are dropped."""
 
     def __init__(self, spec: MaxPool1dSpec):
         super().__init__()
         self.pool = spec.pool_size
-        self.stride = spec.stride if spec.stride is not None else spec.pool_size
 
     def output_len(self, time: int) -> int:
-        return (time - self.pool) // self.stride + 1
+        return time // self.pool
+
+    def _windows(self, a):
+        """View of `a` [batch, time, channels] as [batch, time // pool, pool, channels]."""
+        bsz, t, c = a.shape
+        n = t // self.pool
+        return a[:, : n * self.pool, :].reshape(bsz, n, self.pool, c)
 
     def forward(self, x, mode="train", rng=None):
         _check_mode(mode)
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3:
             raise ShapeError(f"maxpool expected [batch, time, channels], got {x.shape}")
-        bsz, t, c = x.shape
-        if t < self.pool:
-            raise ShapeError(f"time axis {t} shorter than pool window {self.pool}")
-        t_out = (t - self.pool) // self.stride + 1
-        starts = np.arange(t_out) * self.stride
-        windows = x[:, starts[:, None] + np.arange(self.pool)[None, :], :]
-        arg = windows.argmax(axis=2)
-        out = np.take_along_axis(windows, arg[:, :, None, :], axis=2)[:, :, 0, :]
-        self._cache = (x, starts, arg)
-        return out
+        if x.shape[1] < self.pool:
+            raise ShapeError(f"time axis {x.shape[1]} shorter than pool window {self.pool}")
+        windows = self._windows(x)
+        arg = windows.argmax(axis=2)[:, :, None, :]
+        self._record(mode, x, arg)
+        return np.take_along_axis(windows, arg, axis=2)[:, :, 0, :]
 
     def backward(self, dy):
-        x, starts, arg = self._tape()
+        x, arg = self._tape()
         dy = np.asarray(dy, dtype=np.float64)
         dx = np.zeros_like(x)
-        pos = starts[None, :, None] + arg
-        bb = np.arange(x.shape[0])[:, None, None]
-        cc = np.arange(x.shape[2])[None, None, :]
-        # add.at handles positions selected by several overlapping windows
-        np.add.at(dx, (bb, pos, cc), dy)
+        # windows do not overlap, so each input takes at most one gradient
+        np.put_along_axis(self._windows(dx), arg, dy[:, :, None, :], axis=2)
         return dx
 
-    def kink_margin(self) -> float:
-        if self._cache is None:
+    def own_kink_margin(self) -> float:
+        if self._cache is None or self.pool < 2:
             return np.inf
-        x, starts, _ = self._cache
-        windows = x[:, starts[:, None] + np.arange(self.pool)[None, :], :]
-        if windows.shape[2] < 2:
-            return np.inf
-        top2 = np.sort(windows, axis=2)[:, :, -2:, :]
+        top2 = np.sort(self._windows(self._cache[0]), axis=2)[:, :, -2:, :]
         return float((top2[:, :, 1, :] - top2[:, :, 0, :]).min())
 
 
@@ -293,7 +319,7 @@ class GlobalMaxPool(Layer):
         if x.ndim != 3:
             raise ShapeError(f"global max pool expected 3-d input, got {x.shape}")
         arg = x.argmax(axis=1)
-        self._cache = (x, arg)
+        self._record(mode, x, arg)
         return np.take_along_axis(x, arg[:, None, :], axis=1)[:, 0, :]
 
     def backward(self, dy):
@@ -305,7 +331,7 @@ class GlobalMaxPool(Layer):
         dx[bb, arg, cc] = dy
         return dx
 
-    def kink_margin(self) -> float:
+    def own_kink_margin(self) -> float:
         if self._cache is None:
             return np.inf
         x, _ = self._cache
@@ -346,10 +372,14 @@ class BatchNorm1d(Layer):
         self.params = {"gamma": np.ones(channels), "beta": np.zeros(channels)}
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.seen_batch = False
-
-    def named_buffers(self) -> dict[str, np.ndarray]:
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
+        # 1.0 once a training batch has been seen; a buffer, so snapshots,
+        # restores and saved models carry it with the running stats
+        self.seen_batch = np.zeros(())
+        self.buffers = {
+            "running_mean": self.running_mean,
+            "running_var": self.running_var,
+            "seen_batch": self.seen_batch,
+        }
 
     def forward(self, x, mode="train", rng=None):
         _check_mode(mode)
@@ -370,7 +400,7 @@ class BatchNorm1d(Layer):
             self.running_mean += (1.0 - m) * mean
             self.running_var *= m
             self.running_var += (1.0 - m) * var
-            self.seen_batch = True
+            self.seen_batch[...] = 1.0
         else:
             if not self.seen_batch:
                 raise StateError(
@@ -380,20 +410,18 @@ class BatchNorm1d(Layer):
         inv = 1.0 / np.sqrt(var + self.spec.epsilon)
         xhat = (x - mean) * inv
         out = self.params["gamma"] * xhat + self.params["beta"]
-        self._cache = (xhat, inv, mode, x.shape[0] * x.shape[1])
+        self._record(mode, xhat, inv, x.shape[0] * x.shape[1])
         return out
 
     def backward(self, dy):
-        xhat, inv, mode, n = self._tape()
+        xhat, inv, n = self._tape()
         dy = np.asarray(dy, dtype=np.float64)
         g = self.params["gamma"]
         dgamma = (dy * xhat).sum(axis=(0, 1))
         dbeta = dy.sum(axis=(0, 1))
         self.grads = {"gamma": dgamma, "beta": dbeta}
-        if mode == "train":
-            # batch statistics depend on every element, hence the centering terms
-            return (g * inv) * (dy - dbeta / n - xhat * (dgamma / n))
-        return dy * g * inv
+        # batch statistics depend on every element, hence the centering terms
+        return (g * inv) * (dy - dbeta / n - xhat * (dgamma / n))
 
 
 @dataclass(frozen=True)
@@ -416,14 +444,13 @@ class Dropout(Layer):
     def forward(self, x, mode="train", rng=None):
         _check_mode(mode)
         x = np.asarray(x, dtype=np.float64)
-        if mode == "infer" or self.rate == 0.0:
-            self._cache = (None,)
-            return x
-        if rng is None:
-            raise StateError("dropout in train mode needs an explicit rng")
-        scale = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
-        self._cache = (scale,)
-        return x * scale
+        scale = None
+        if mode == "train" and self.rate > 0.0:
+            if rng is None:
+                raise StateError("dropout in train mode needs an explicit rng")
+            scale = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
+        self._record(mode, scale)
+        return x if scale is None else x * scale
 
     def backward(self, dy):
         (scale,) = self._tape()
@@ -434,19 +461,14 @@ class Dropout(Layer):
 @dataclass(frozen=True)
 class DenseSpec:
     units: int
-    activation: str = "none"
 
     def __post_init__(self):
         if self.units < 1:
             raise ConfigError(f"units must be >= 1, got {self.units}")
-        if self.activation not in DENSE_ACTIVATIONS:
-            raise ConfigError(
-                f"activation must be one of {DENSE_ACTIVATIONS}, got {self.activation!r}"
-            )
 
 
 class Dense(Layer):
-    """Affine map on [batch, features], optionally through softmax."""
+    """Affine map on [batch, features] through a row-wise softmax."""
 
     def __init__(self, in_features: int, spec: DenseSpec, rng: np.random.Generator):
         super().__init__()
@@ -462,20 +484,13 @@ class Dense(Layer):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(f"dense expected [batch, {self.in_features}], got {x.shape}")
-        z = x @ self.params["W"] + self.params["b"]
-        if self.spec.activation == "softmax":
-            p = softmax(z)
-            self._cache = (x, p)
-            return p
-        self._cache = (x, None)
-        return z
+        p = softmax(x @ self.params["W"] + self.params["b"])
+        self._record(mode, x, p)
+        return p
 
     def backward(self, dy):
         x, p = self._tape()
         dy = np.asarray(dy, dtype=np.float64)
-        if p is not None:
-            dz = p * (dy - (dy * p).sum(axis=1, keepdims=True))
-        else:
-            dz = dy
+        dz = p * (dy - (dy * p).sum(axis=1, keepdims=True))
         self.grads = {"W": x.T @ dz, "b": dz.sum(axis=0)}
         return dz @ self.params["W"].T

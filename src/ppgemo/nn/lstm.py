@@ -71,7 +71,7 @@ class Lstm(Layer):
             h = o * np.tanh(c)
             cells[k] = c
             hiddens[k + 1] = h
-        self._cache = (x, gates, cells, hiddens)
+        self._record(mode, x, gates, cells, hiddens)
         return h
 
     def backward(self, dh_last):

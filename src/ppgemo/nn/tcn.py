@@ -49,10 +49,11 @@ class TcnSpec:
         return 1 + 2 * (self.kernel_size - 1) * sum(self.dilations)
 
 
-class _Block:
+class _Block(Layer):
     """conv-relu-drop twice, plus the residual path."""
 
     def __init__(self, in_channels: int, spec: TcnSpec, dilation: int, rng):
+        super().__init__()
         cspec = Conv1dSpec(spec.filters, spec.kernel_size, 1, "causal", "relu", dilation)
         self.conv_a = Conv1d(in_channels, cspec, rng)
         self.drop_a = Dropout(DropoutSpec(spec.dropout_rate))
@@ -65,6 +66,7 @@ class _Block:
             )
 
     def sublayers(self):
+        # dropout holds no params, grads, buffers or kinks
         out = [("conv_a", self.conv_a), ("conv_b", self.conv_b)]
         if self.proj is not None:
             out.append(("proj", self.proj))
@@ -93,21 +95,8 @@ class Tcn(Layer):
             self.blocks.append(_Block(ch, spec, d, rng))
             ch = spec.filters
 
-    def named_params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for bi, block in enumerate(self.blocks):
-            for name, layer in block.sublayers():
-                for k, v in layer.params.items():
-                    out[f"block{bi}.{name}.{k}"] = v
-        return out
-
-    def named_grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for bi, block in enumerate(self.blocks):
-            for name, layer in block.sublayers():
-                for k, v in layer.grads.items():
-                    out[f"block{bi}.{name}.{k}"] = v
-        return out
+    def sublayers(self):
+        return [(f"block{i}", block) for i, block in enumerate(self.blocks)]
 
     def forward_sequence(self, x, mode="train", rng=None):
         """Full-sequence output [batch, time, filters], before the final
@@ -121,14 +110,13 @@ class Tcn(Layer):
         for block in self.blocks:
             h = block.forward(h, mode, rng)
             skips.append(h)
+        z = None
         if self.spec.use_skip:
             z = skips[0].copy()
             for s_ in skips[1:]:
                 z += s_
-            self._cache = (z, h.shape)
-            return np.maximum(z, 0.0)
-        self._cache = (None, h.shape)
-        return h
+        self._record(mode, z, h.shape)
+        return h if z is None else np.maximum(z, 0.0)
 
     def forward(self, x, mode="train", rng=None):
         return self.forward_sequence(x, mode, rng)[:, -1, :]
@@ -156,15 +144,6 @@ class Tcn(Layer):
             dh = block.backward(dout)
         return dh
 
-    def kink_margin(self) -> float:
-        if self._cache is None:
-            return np.inf
-        margins = [
-            layer.kink_margin()
-            for block in self.blocks
-            for _, layer in block.sublayers()
-        ]
-        z = self._cache[0]
-        if z is not None and z.size:
-            margins.append(float(np.abs(z).min()))
-        return min(margins)
+    def own_kink_margin(self) -> float:
+        z = None if self._cache is None else self._cache[0]
+        return float(np.abs(z).min()) if z is not None and z.size else np.inf

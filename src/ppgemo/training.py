@@ -32,8 +32,6 @@ class TrainConfig:
     val_fraction_subjects: float = 0.2
     seed: int = 0
     target: str = "valence"
-    # recompute class weights from each mini-batch instead of the fold
-    reweight_per_batch: bool = False
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -252,12 +250,9 @@ def train(model, train_segments, val_segments, config: TrainConfig) -> tuple[Tra
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            weights = fold_weights
-            if config.reweight_per_batch and len(np.unique(y[idx])) == 2:
-                weights = compute_class_weights(y[idx])
             probs = model.forward(x[idx], "train", drop_rng)
-            total += weighted_cce(probs, onehot[idx], weights) * idx.size
-            model.backward(weighted_cce_grad(probs, onehot[idx], weights))
+            total += weighted_cce(probs, onehot[idx], fold_weights) * idx.size
+            model.backward(weighted_cce_grad(probs, onehot[idx], fold_weights))
             adam_step(params, model.grads(), state, config)
         log.train_loss.append(total / n)
         log.train_acc.append(float((predict_proba(model, x).argmax(axis=1) == y).mean()))

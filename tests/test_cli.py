@@ -1,9 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from ppgemo.cli import main
+from ppgemo.cli import main, resolve_run_config
+from ppgemo.errors import ConfigError
 from ppgemo.data import load_canonical
 from ppgemo.evaluation import FoldMetrics, aggregate, save_reports
 
@@ -227,3 +229,11 @@ def test_train_flag_overrides_are_validated_together(synth_dir, config_file, tmp
     echoed = json.loads((out / "run_config.json").read_text())
     assert (echoed["train"]["max_epochs"], echoed["train"]["patience"]) == (2, 1)
     assert main([*argv[:-2], "--patience", "2"]) == 1
+
+
+def test_config_file_with_removed_train_option_is_rejected(tmp_path):
+    # reweight_per_batch no longer exists; a file that still sets it fails loudly
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"train": {"reweight_per_batch": True}}))
+    with pytest.raises(ConfigError, match="bad 'train' section"):
+        resolve_run_config(argparse.Namespace(config=str(path), seed=None))

@@ -217,19 +217,6 @@ class TestEvaluateFold:
         with pytest.raises(DataError, match="empty"):
             evaluate_fold(StubModel([]), [], "valence")
 
-    def test_trial_majority_vote(self):
-        # two trials, two segments each; trial votes follow the majority
-        segs = [
-            Segment(np.zeros(4), "s1", 1, 1, 1),
-            Segment(np.zeros(4), "s1", 1, 1, 1),
-            Segment(np.zeros(4), "s1", 2, 0, 0),
-            Segment(np.zeros(4), "s1", 2, 0, 0),
-        ]
-        fm = evaluate_fold(
-            StubModel([0.9, 0.8, 0.6, 0.1]), segs, "valence", trial_majority_vote=True
-        )
-        assert fm.accuracy == 1.0  # trial 1 -> 1, trial 2 split 1/0 -> tie -> 0
-
 
 def fold(subject, **overrides):
     base = dict(

@@ -36,7 +36,7 @@ def test_zero_upstream_gives_zero_grads(rng):
 def test_softmax_cce_bias_gradient_closed_form(rng):
     # single sample, unit weights: dL/dz = p - onehot, and the bias gradient
     # equals dL/dz directly
-    dense = Dense(3, DenseSpec(2, "softmax"), rng)
+    dense = Dense(3, DenseSpec(2), rng)
     x = rng.standard_normal((1, 3))
     onehot = np.array([[0.0, 1.0]])
     probs = dense.forward(x)

@@ -108,7 +108,7 @@ class TestBatchNorm1d:
         bn = BatchNorm1d(1, BatchNorm1dSpec(epsilon=1e-12))
         bn.running_mean[...] = 1.0
         bn.running_var[...] = 4.0
-        bn.seen_batch = True
+        bn.seen_batch[...] = 1.0
         bn.params["gamma"][...] = 2.0
         bn.params["beta"][...] = 3.0
         out = bn.forward(np.full((1, 1, 1), 5.0), "infer")
@@ -162,19 +162,19 @@ class TestDropout:
 
 
 class TestDense:
-    def _identity_dense(self, rng, activation):
-        dense = Dense(2, DenseSpec(2, activation), rng)
+    def _identity_dense(self, rng):
+        dense = Dense(2, DenseSpec(2), rng)
         dense.params["W"][...] = np.eye(2)
         dense.params["b"][...] = 0.0
         return dense
 
     def test_softmax_symmetry(self, rng):
-        dense = self._identity_dense(rng, "softmax")
+        dense = self._identity_dense(rng)
         out = dense.forward(np.array([[0.0, 0.0]]))
         np.testing.assert_allclose(out, [[0.5, 0.5]])
 
     def test_softmax_log_two(self, rng):
-        dense = self._identity_dense(rng, "softmax")
+        dense = self._identity_dense(rng)
         out = dense.forward(np.array([[np.log(2.0), 0.0]]))
         np.testing.assert_allclose(out, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
 

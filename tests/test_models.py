@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from ppgemo.models import (
     model_config_from_dict,
     model_config_to_dict,
 )
-from ppgemo.nn import Layer, TcnSpec
-from ppgemo.training import weighted_cce_grad
+from ppgemo.nn import Layer, TcnSpec, walk
+from ppgemo.training import predict_proba, weighted_cce_grad
+
+DATA = Path(__file__).parent / "data"
 
 # small configuration so model tests stay fast; shapes:
 # 240 -> conv s4 -> 60 -> pool -> 30 -> conv s2 -> 15 -> pool -> 7
@@ -39,6 +43,34 @@ def test_default_shape_trace(rng):
     assert trace["lstm"] == (2, 12)
     assert trace["concat"] == (2, 20)
     assert trace["head"] == (2, 2)
+
+
+TRUNK_TRACE = [
+    ("input", (2, 240, 1)),
+    ("conv1", (2, 60, 4)),
+    ("pool1", (2, 30, 4)),
+    ("bn1", (2, 30, 4)),
+    ("drop1", (2, 30, 4)),
+    ("conv2", (2, 15, 6)),
+    ("pool2", (2, 7, 6)),
+    ("bn2", (2, 7, 6)),
+    ("drop2", (2, 7, 6)),
+]
+
+
+@pytest.mark.parametrize(
+    "variant, branches",
+    [
+        ("cnn", [("gpool", (2, 6))]),
+        ("cnn_lstm", [("lstm", (2, 5))]),
+        ("cnn_tcn_lstm", [("tcn", (2, 3)), ("lstm", (2, 5)), ("concat", (2, 8))]),
+    ],
+)
+def test_shape_trace_per_variant(variant, branches, rng):
+    # a single branch feeds the head directly: no concat stage
+    model = build(replace(SMALL, variant=variant), rng)
+    model.forward(rng.standard_normal((2, 240, 1)), "train", rng)
+    assert model.shape_trace == TRUNK_TRACE + branches + [("head", (2, 2))]
 
 
 def test_concat_width_and_head_parameter_count(rng):
@@ -134,14 +166,10 @@ def test_every_parameter_receives_gradient(variant):
     assert not pending, f"parameters with all-zero gradients: {sorted(pending)}"
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_backward_frees_every_tape(variant, rng):
-    model = build(replace(SMALL, variant=variant), rng)
-    x = rng.standard_normal((4, 240, 1))
-    probs = model.forward(x, "train", rng)
-    dprobs = weighted_cce_grad(probs, np.eye(2)[[0, 1, 0, 1]], np.ones(2))
-    model.backward(dprobs)
-    layers = [layer for _, layer in model._named_layers()]
+def _holding_tapes(model):
+    """Layers of `model` that still hold a tape, the TCN blocks' dropouts
+    (which the walk skips) included."""
+    layers = [layer for _, layer in walk(model)]
     if "tcn" in model.branches:
         layers += [
             sub
@@ -149,11 +177,31 @@ def test_backward_frees_every_tape(variant, rng):
             for sub in vars(block).values()
             if isinstance(sub, Layer)
         ]
-    assert [layer for layer in layers if layer._cache is not None] == []
+    return [layer for layer in layers if layer._cache is not None]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_backward_frees_every_tape(variant, rng):
+    model = build(replace(SMALL, variant=variant), rng)
+    x = rng.standard_normal((4, 240, 1))
+    probs = model.forward(x, "train", rng)
+    dprobs = weighted_cce_grad(probs, np.eye(2)[[0, 1, 0, 1]], np.ones(2))
+    model.backward(dprobs)
+    assert _holding_tapes(model) == []
     with pytest.raises(StateError, match="without a forward"):
         model.backward(dprobs)
     model.forward(x, "train", rng)
     model.backward(dprobs)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_infer_forward_records_no_tape(variant, rng):
+    model = build(replace(SMALL, variant=variant), rng)
+    model.forward(rng.standard_normal((4, 240, 1)), "train", rng)  # bn stats
+    predict_proba(model, rng.standard_normal((5, 240, 1)), batch_size=2)
+    assert _holding_tapes(model) == []
+    with pytest.raises(StateError, match="without a forward"):
+        model.backward(np.ones((1, 2)))
 
 
 def test_save_load_round_trip(rng, tmp_path):
@@ -172,3 +220,50 @@ def test_model_config_dict_round_trip():
     config = SMALL
     clone = model_config_from_dict(model_config_to_dict(config))
     assert clone == config
+
+
+def test_save_writes_format_2_with_seen_batch_buffers(rng, tmp_path):
+    model = build(SMALL, rng)
+    model.forward(rng.standard_normal((4, 240, 1)), "train", rng)
+    path = tmp_path / "model.json"
+    model.save(path)
+    manifest = json.loads(path.read_text())
+    assert manifest["format"] == "ppgemo-model/2"
+    assert "bn_initialized" not in manifest
+    for bn in ("bn1", "bn2"):
+        assert manifest["buffers"][f"trunk.{bn}.seen_batch"] == {"data": [1.0], "shape": []}
+
+
+def test_restore_carries_seen_batch(rng):
+    model = build(SMALL, rng)
+    fresh = model.snapshot()
+    model.forward(rng.standard_normal((4, 240, 1)), "train", rng)
+    model.restore(fresh)
+    with pytest.raises(StateError, match="before any training batch"):
+        model.forward(rng.standard_normal((1, 240, 1)), "infer")
+
+
+def _v1_fixture():
+    """A SMALL model saved in format ppgemo-model/1 after one training
+    batch, and its infer probabilities for a seeded input."""
+    manifest = json.loads((DATA / "model_v1.json").read_text())
+    expected = json.loads((DATA / "model_v1_probs.json").read_text())
+    x = np.random.default_rng(expected["input_seed"]).standard_normal(expected["input_shape"])
+    return manifest, x, np.array(expected["probs"])
+
+
+def test_loads_format_1_and_reproduces_its_probabilities():
+    manifest, x, probs = _v1_fixture()
+    assert manifest["format"] == "ppgemo-model/1" and manifest["bn_initialized"]
+    model = Model.load(DATA / "model_v1.json")
+    np.testing.assert_array_equal(model.forward(x, "infer"), probs)
+
+
+def test_format_1_without_bn_initialized_fails_on_infer(tmp_path):
+    manifest, x, _ = _v1_fixture()
+    manifest["bn_initialized"] = False
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(manifest))
+    model = Model.load(path)
+    with pytest.raises(StateError, match="before any training batch"):
+        model.forward(x, "infer")

@@ -70,7 +70,7 @@ def test_residual_projection_only_when_channels_differ(rng):
 
 def test_backward_sequence_consumes_the_tape(rng):
     tcn = Tcn(2, TcnSpec(filters=3, kernel_size=3, dilations=(1, 2)), rng)
-    out = tcn.forward_sequence(rng.standard_normal((2, 12, 2)), "infer")
+    out = tcn.forward_sequence(rng.standard_normal((2, 12, 2)), "train", rng)
     tcn.backward_sequence(np.ones_like(out))
     with pytest.raises(StateError):
         tcn.backward_sequence(np.ones_like(out))
