@@ -20,10 +20,13 @@ import numpy as np
 from . import data as data_io
 from . import evaluation as ev
 from .errors import ConfigError, PpgEmoError
-from .models import ModelConfig, build, model_config_from_dict, model_config_to_dict
+from .models import ModelConfig, model_config_from_dict, model_config_to_dict
 from .nn.gradcheck import run_suite
 from .signals import FilterSpec, SegmenterSpec, preprocess_record
-from .training import TrainConfig, make_validation_split, train
+from .training import TrainConfig, make_validation_split
+
+# TrainConfig fields that `train` and `loso` also take as flags, with their types
+TRAIN_FLAGS = {"max_epochs": int, "batch_size": int, "patience": int, "learning_rate": float}
 
 
 @dataclass(frozen=True)
@@ -80,34 +83,10 @@ def resolve_run_config(args) -> RunConfig:
 
     # one replace, so fields that constrain each other (patience < max_epochs)
     # are validated together, not against the defaults one flag at a time
-    overrides = {
-        name: getattr(args, name, None)
-        for name in ("max_epochs", "batch_size", "patience", "learning_rate")
-    }
+    overrides = {name: getattr(args, name, None) for name in TRAIN_FLAGS}
     tcfg = replace(tcfg, **{k: v for k, v in overrides.items() if v is not None})
 
     return RunConfig(fspec, sspec, mcfg, tcfg, dataset, out_dir, variants, targets, seed, jobs)
-
-
-def run_config_to_dict(cfg: RunConfig) -> dict:
-    return {
-        "filter": asdict(cfg.filter),
-        "segmenter": asdict(cfg.segmenter),
-        "model": model_config_to_dict(cfg.model),
-        "train": asdict(cfg.train),
-        "dataset": cfg.dataset,
-        "out_dir": cfg.out_dir,
-        "variants": list(cfg.variants),
-        "targets": list(cfg.targets),
-        "seed": cfg.seed,
-        "jobs": cfg.jobs,
-    }
-
-
-def _echo_config(out_dir: Path, payload: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "run_config.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
 
 
 def _dump_json(path: Path, payload) -> None:
@@ -129,7 +108,7 @@ def cmd_synth(args) -> int:
     dataset = data_io.synth_dataset(spec)
     out = Path(args.out)
     data_io.save_canonical(dataset, out)
-    _echo_config(out, {"synth": asdict(spec)})
+    _dump_json(out / "run_config.json", {"synth": asdict(spec)})
     print(f"wrote {len(dataset.records)} records to {out}")
     return 0
 
@@ -137,7 +116,8 @@ def cmd_synth(args) -> int:
 def cmd_import_ppge(args) -> int:
     out = Path(args.out)
     dataset = data_io.import_ppge(args.raw, out, threshold=args.threshold, fs_hz=args.fs)
-    _echo_config(out, {"import": {"raw": args.raw, "threshold": args.threshold, "fs_hz": args.fs}})
+    settings = {"raw": args.raw, "threshold": args.threshold, "fs_hz": args.fs}
+    _dump_json(out / "run_config.json", {"import": settings})
     print(f"imported {len(dataset.records)} records from {len(dataset.subjects)} subjects")
     return 0
 
@@ -179,7 +159,7 @@ def cmd_preprocess(args) -> int:
             "per_record": per_record,
         },
     )
-    _echo_config(out, run_config_to_dict(cfg))
+    _dump_json(out / "run_config.json", asdict(cfg))
     print(f"{len(segments)} segments from {len(dataset.records)} records ({skipped} skipped)")
     return 0
 
@@ -190,19 +170,16 @@ def cmd_train(args) -> int:
         raise ConfigError("train needs --dataset (or 'dataset' in the config file)")
     if len(cfg.variants) != 1 or len(cfg.targets) != 1:
         raise ConfigError("train runs exactly one variant and one target")
+    mcfg = replace(cfg.model, variant=cfg.variants[0])
+    tcfg = replace(cfg.train, seed=cfg.seed, target=cfg.targets[0])
     dataset = data_io.load_canonical(cfg.dataset)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     excluded = set(args.exclude_subjects.split(",")) if args.exclude_subjects else set()
-    segments = []
-    for record in dataset.records:
-        if record.subject_id in excluded:
-            continue
-        segments.extend(preprocess_record(record, cfg.filter, cfg.segmenter))
-    subjects = sorted({s.subject_id for s in segments})
-
-    tcfg = replace(cfg.train, seed=cfg.seed, target=cfg.targets[0])
+    records = [r for r in dataset.records if r.subject_id not in excluded]
+    by_subject = ev.segments_by_subject(records, cfg.filter, cfg.segmenter)
+    subjects = sorted(by_subject)
     if args.val_subjects:
         val = sorted(set(args.val_subjects.split(",")))
         unknown = set(val) - set(subjects)
@@ -214,22 +191,15 @@ def cmd_train(args) -> int:
     else:
         fit, val = make_validation_split(subjects, tcfg, cfg.seed)
 
-    mcfg = replace(cfg.model, variant=cfg.variants[0])
-    model = build(mcfg, np.random.default_rng([cfg.seed, 0]))
-    fit_segs = [s for s in segments if s.subject_id in set(fit)]
-    val_segs = [s for s in segments if s.subject_id in set(val)]
-    tlog, _ = train(model, fit_segs, val_segs, tcfg)
+    model, tlog = ev.fit_model(by_subject, fit, val, mcfg, tcfg, cfg.seed, tcfg.target)
 
     with open(out / "trainlog.jsonl", "w") as fh:
         for row in tlog.to_records():
             fh.write(json.dumps(row, sort_keys=True) + "\n")
     model.save(out / "model.json")
-    _echo_config(
-        out,
-        {**run_config_to_dict(cfg), "fit_subjects": fit, "val_subjects": val},
-    )
+    _dump_json(out / "run_config.json", {**asdict(cfg), "fit_subjects": fit, "val_subjects": val})
     print(
-        f"trained {mcfg.variant} on {len(fit_segs)} segments; best epoch "
+        f"trained {mcfg.variant} on {sum(len(by_subject[s]) for s in fit)} segments; best epoch "
         f"{tlog.best_epoch} (val_acc {tlog.val_acc[tlog.best_epoch - 1]:.3f})"
     )
     return 0
@@ -239,55 +209,25 @@ def cmd_loso(args) -> int:
     cfg = resolve_run_config(args)
     if not cfg.dataset:
         raise ConfigError("loso needs --dataset (or 'dataset' in the config file)")
-    for t in cfg.targets:
-        if t not in ("valence", "arousal"):
-            raise ConfigError(f"unknown target {t!r}")
     dataset = data_io.load_canonical(cfg.dataset)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _echo_config(out, run_config_to_dict(cfg))
+    _dump_json(out / "run_config.json", asdict(cfg))
 
-    reports = {}
-    for variant in cfg.variants:
-        mcfg = replace(cfg.model, variant=variant)
-        runs = ev.run_loso(
-            dataset,
-            cfg.filter,
-            cfg.segmenter,
-            mcfg,
-            cfg.train,
-            cfg.targets,
-            cfg.seed,
-            jobs=cfg.jobs,
+    runs = ev.run_loso(
+        dataset, cfg.filter, cfg.segmenter, cfg.model, cfg.train, cfg.variants, cfg.targets,
+        cfg.seed, jobs=cfg.jobs
+    )
+    for run in runs:
+        fold_dir = out / run.variant / run.target
+        fold_dir.mkdir(parents=True, exist_ok=True)
+        _dump_json(fold_dir / f"fold_{run.test_subject}.json", asdict(run))
+    reports = {
+        v: ev.aggregate(
+            {t: [r.metrics for r in runs if (r.variant, r.target) == (v, t)] for t in cfg.targets}
         )
-        for target, fold_runs in runs.items():
-            fold_dir = out / variant / target
-            fold_dir.mkdir(parents=True, exist_ok=True)
-            for run in fold_runs:
-                _dump_json(
-                    fold_dir / f"fold_{run.test_subject}.json",
-                    {
-                        "variant": variant,
-                        "target": target,
-                        "fold_index": run.fold_index,
-                        "fold_seed": run.fold_seed,
-                        "test_subject": run.test_subject,
-                        "fit_subjects": run.fit_subjects,
-                        "val_subjects": run.val_subjects,
-                        "metrics": asdict(run.metrics),
-                        "train_log": {
-                            "best_epoch": run.train_log.best_epoch,
-                            "stop_epoch": run.train_log.stop_epoch,
-                            "train_loss": run.train_log.train_loss,
-                            "train_acc": run.train_log.train_acc,
-                            "val_acc": run.train_log.val_acc,
-                            "class_weights": run.train_log.class_weights,
-                        },
-                    },
-                )
-        reports[variant] = ev.aggregate(
-            {t: [r.metrics for r in runs[t]] for t in cfg.targets}
-        )
+        for v in cfg.variants
+    }
 
     ev.save_reports(reports, out / "report.json")
     (out / "report.csv").write_text(ev.render_csv(reports))
@@ -302,7 +242,7 @@ def cmd_report(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.csv").write_text(ev.render_csv(reports))
     (out / "report.md").write_text(ev.render_markdown(reports))
-    _echo_config(out, {"report": str(args.report)})
+    _dump_json(out / "run_config.json", {"report": str(args.report)})
     print(ev.render_markdown(reports))
     return 0
 
@@ -323,6 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="PPG emotion classification: preprocessing, training, LOSO evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def train_flags(p):
+        for name, kind in TRAIN_FLAGS.items():
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, default=None)
 
     def common(p, dataset=True):
         p.add_argument("--config", help="JSON config file; flags override its values")
@@ -357,10 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="valence | arousal")
     p.add_argument("--val-subjects", dest="val_subjects", help="comma-separated validation subjects")
     p.add_argument("--exclude-subjects", dest="exclude_subjects", help="subjects to drop entirely")
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
+    train_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("loso", help="leave-one-subject-out evaluation")
@@ -368,10 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", help="comma-separated list of variants")
     p.add_argument("--target", help="comma-separated list of targets")
     p.add_argument("--jobs", type=int, default=None, help="concurrent folds")
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
+    train_flags(p)
     p.set_defaults(func=cmd_loso)
 
     p = sub.add_parser("report", help="render an existing report as CSV and markdown")

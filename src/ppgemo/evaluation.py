@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, MetricUndefinedError, ShapeError, StateError
-from .models import ModelConfig, build
+from .models import Model, ModelConfig, build
 from .signals import FilterSpec, Segment, SegmenterSpec, preprocess_record
 from .training import (
     TARGETS,
@@ -317,8 +317,10 @@ def render_markdown(reports: dict[str, EvalReport]) -> str:
 
 @dataclass
 class FoldRun:
-    """Everything produced by training and testing one fold."""
+    """Everything produced by training and testing one (variant, target,
+    fold) task; `asdict` of it is the fold's record file."""
 
+    variant: str
     target: str
     fold_index: int
     test_subject: str
@@ -335,44 +337,68 @@ def fold_seed_for(seed: int, fold_index: int, target: str) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def segments_by_subject(records, fspec, sspec) -> dict[str, list[Segment]]:
+    """Preprocess each record once; segments grouped by subject, in record order."""
+    by_subject: dict[str, list[Segment]] = {}
+    for record in records:
+        for seg in preprocess_record(record, fspec, sspec):
+            by_subject.setdefault(seg.subject_id, []).append(seg)
+    return by_subject
+
+
+def fit_model(
+    by_subject, fit, val, model_config: ModelConfig, train_config: TrainConfig, seed: int, target
+) -> tuple[Model, TrainLog]:
+    """Build a model from `seed` and train it on the `fit` subjects,
+    early-stopping on the `val` subjects; returns (model, TrainLog) with the
+    best epoch's parameters restored."""
+    model = build(model_config, np.random.default_rng([seed, 0]))
+    cfg = replace(train_config, seed=seed, target=target)
+    fit_segs = [s for subj in fit for s in by_subject[subj]]
+    val_segs = [s for subj in val for s in by_subject[subj]]
+    tlog, _ = train(model, fit_segs, val_segs, cfg)
+    return model, tlog
+
+
 def run_loso(
     dataset: Dataset,
     fspec: FilterSpec,
     sspec: SegmenterSpec,
     model_config: ModelConfig,
     train_config: TrainConfig,
+    variants,
     targets,
     seed: int,
     jobs: int = 1,
-) -> dict[str, list[FoldRun]]:
-    """Full LOSO loop for one model variant over the requested targets.
+) -> list[FoldRun]:
+    """Full LOSO loop over every (variant, target, fold).
 
-    Each fold trains a fresh model on the other subjects (with a
-    subject-grouped validation split for early stopping) and evaluates on
-    the held-out subject. Fold RNGs depend only on (seed, fold, target),
-    so results are identical regardless of `jobs`.
+    Every variant and target is validated before any work starts, and the
+    dataset is preprocessed once. Each fold trains a fresh model on the
+    other subjects (with a subject-grouped validation split for early
+    stopping) and evaluates on the held-out subject; `jobs` tasks run at
+    once, across variants and targets. Fold RNGs depend only on (seed,
+    fold, target), so a variant's results do not depend on `jobs` or on
+    the other variants. A repeated name runs once. Returns the runs in
+    (variant, target, fold) order.
     """
-    segments: list[Segment] = []
-    for record in dataset.records:
-        segments.extend(preprocess_record(record, fspec, sspec))
-    if not segments:
+    model_configs = {v: replace(model_config, variant=v) for v in variants}
+    train_configs = {t: replace(train_config, target=t) for t in targets}
+    by_subject = segments_by_subject(dataset.records, fspec, sspec)
+    if not by_subject:
         raise DataError("dataset produced no segments")
-    by_subject: dict[str, list[Segment]] = {}
-    for seg in segments:
-        by_subject.setdefault(seg.subject_id, []).append(seg)
-    folds = loso_folds(by_subject.keys())
+    folds = loso_folds(by_subject)
 
-    def run_one(target: str, i: int, train_subjects: list[str], test_subject: str) -> FoldRun:
+    def run_one(variant: str, target: str, i: int, train_subjects, test_subject: str) -> FoldRun:
         fseed = fold_seed_for(seed, i, target)
         fit, val = make_validation_split(train_subjects, train_config, fseed)
-        model = build(model_config, np.random.default_rng([fseed, 0]))
-        cfg = replace(train_config, seed=fseed, target=target)
-        fit_segs = [s for subj in fit for s in by_subject[subj]]
-        val_segs = [s for subj in val for s in by_subject[subj]]
-        tlog, _ = train(model, fit_segs, val_segs, cfg)
+        model, tlog = fit_model(
+            by_subject, fit, val, model_configs[variant], train_configs[target], fseed, target
+        )
         metrics = evaluate_fold(model, by_subject[test_subject], target)
         log.info(
-            "fold %s/%s target=%s: acc=%.3f auc=%s (stopped at epoch %d)",
+            "%s fold %s/%s target=%s: acc=%.3f auc=%s (stopped at epoch %d)",
+            variant,
             i + 1,
             len(folds),
             target,
@@ -380,20 +406,15 @@ def run_loso(
             "n/a" if metrics.auc is None else f"{metrics.auc:.3f}",
             tlog.stop_epoch,
         )
-        return FoldRun(target, i, test_subject, metrics, tlog, fseed, fit, val)
+        return FoldRun(variant, target, i, test_subject, metrics, tlog, fseed, fit, val)
 
     tasks = [
-        (target, i, tr, te) for target in targets for i, (tr, te) in enumerate(folds)
+        (v, t, i, tr, te)
+        for v in model_configs
+        for t in train_configs
+        for i, (tr, te) in enumerate(folds)
     ]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda a: run_one(*a), tasks))
-    else:
-        results = [run_one(*a) for a in tasks]
-
-    out: dict[str, list[FoldRun]] = {t: [] for t in targets}
-    for run in results:
-        out[run.target].append(run)
-    for t in out:
-        out[t].sort(key=lambda r: r.fold_index)
-    return out
+            return list(pool.map(lambda a: run_one(*a), tasks))
+    return [run_one(*a) for a in tasks]

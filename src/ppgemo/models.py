@@ -63,7 +63,6 @@ class ModelConfig:
     dropout: float = 0.3
     tcn: TcnSpec = field(default_factory=TcnSpec)
     lstm_units: int = 12
-    output_classes: int = 2
     variant: str = "cnn_tcn_lstm"
 
     def __post_init__(self):
@@ -77,8 +76,6 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.lstm_units < 1:
             raise ConfigError(f"lstm_units must be >= 1, got {self.lstm_units}")
-        if self.output_classes < 2:
-            raise ConfigError(f"output_classes must be >= 2, got {self.output_classes}")
 
 
 def model_config_to_dict(config: ModelConfig) -> dict:
@@ -89,6 +86,9 @@ def model_config_to_dict(config: ModelConfig) -> dict:
 
 def model_config_from_dict(d: dict) -> ModelConfig:
     d = dict(d)
+    # older manifests and config files name the head's width, which is always 2
+    if d.pop("output_classes", 2) != 2:
+        raise ConfigError("output_classes: the head has exactly 2 classes (binary labels)")
     try:
         d["conv1"] = ConvStage(**d["conv1"])
         d["conv2"] = ConvStage(**d["conv2"])
@@ -255,5 +255,5 @@ def build(config: ModelConfig, rng: np.random.Generator) -> Model:
         branches["lstm"] = Lstm(ch, LstmSpec(config.lstm_units), rng)
         feat = config.tcn.filters + config.lstm_units
 
-    head = Dense(feat, DenseSpec(config.output_classes), rng)
+    head = Dense(feat, DenseSpec(2), rng)
     return Model(config, trunk, branches, head)

@@ -166,6 +166,7 @@ def learnability_runs():
         SegmenterSpec(),
         ModelConfig(variant="cnn_tcn_lstm"),
         tcfg,
+        ["cnn_tcn_lstm"],
         ["valence"],
         seed=11,
         jobs=2,
@@ -173,7 +174,7 @@ def learnability_runs():
 
 
 def test_criterion_7_end_to_end_learnability(learnability_runs):
-    runs = learnability_runs["valence"]
+    runs = learnability_runs
     assert len(runs) == 6
     for run in runs:
         peak = max(run.train_log.train_acc)
@@ -217,11 +218,14 @@ def test_criterion_9_real_dataset_reproduction():
         SegmenterSpec(),
         ModelConfig(variant="cnn_tcn_lstm"),
         TrainConfig(),
+        ["cnn_tcn_lstm"],
         ["valence", "arousal"],
         seed=0,
         jobs=int(os.environ.get("PPGE_JOBS", "2")),
     )
-    report = aggregate({t: [r.metrics for r in runs[t]] for t in ("valence", "arousal")})
+    report = aggregate(
+        {t: [r.metrics for r in runs if r.target == t] for t in ("valence", "arousal")}
+    )
     assert report.means["valence"]["auc"] == pytest.approx(0.66, abs=0.05)
     assert report.means["arousal"]["auc"] == pytest.approx(0.69, abs=0.05)
     ok(9, "real-data LOSO AUC within +/-0.05 of the published 0.66/0.69")

@@ -1,13 +1,16 @@
 import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from ppgemo import evaluation
 from ppgemo.cli import main, resolve_run_config
 from ppgemo.errors import ConfigError
 from ppgemo.data import load_canonical
-from ppgemo.evaluation import FoldMetrics, aggregate, save_reports
+from ppgemo.evaluation import FoldMetrics, FoldRun, aggregate, save_reports
+from ppgemo.training import TrainLog
 
 # reduced geometry so CLI round trips stay fast: 10 Hz sampling keeps the
 # 60 s window at 600 samples
@@ -179,6 +182,60 @@ def test_loso_determinism_across_jobs(synth_dir, config_file, tmp_path):
     for fold_file in sorted(first.rglob("fold_*.json")):
         twin = second / fold_file.relative_to(first)
         assert fold_file.read_bytes() == twin.read_bytes()
+
+
+def _loso(synth_dir, config_file, out, variants, targets="valence", jobs="1"):
+    return main(
+        ["loso", "--dataset", str(synth_dir), "--out", str(out), "--config", str(config_file),
+         "--variant", variants, "--target", targets, "--seed", "3", "--jobs", jobs]
+    )
+
+
+def test_multi_variant_loso_matches_single_variant_runs(synth_dir, config_file, tmp_path):
+    # one fold pool over (variant, target, fold) gives each variant the
+    # same files as a run of that variant alone; a repeated name runs once
+    both = tmp_path / "both"
+    assert _loso(synth_dir, config_file, both, "cnn,cnn_tcn_lstm,cnn", "valence,arousal", "2") == 0
+    for variant in ("cnn", "cnn_tcn_lstm"):
+        alone = tmp_path / variant
+        assert _loso(synth_dir, config_file, alone, variant, "valence,arousal") == 0
+        folds = sorted(alone.rglob("fold_*.json"))
+        assert len(folds) == 6
+        for fold_file in folds:
+            twin = both / fold_file.relative_to(alone)
+            assert fold_file.read_bytes() == twin.read_bytes()
+        single = json.loads((alone / "report.json").read_text())
+        assert json.loads((both / "report.json").read_text())[variant] == single[variant]
+
+
+def test_fold_record_is_the_fold_run(synth_dir, config_file, tmp_path):
+    assert _loso(synth_dir, config_file, tmp_path / "loso", "cnn") == 0
+    record = json.loads(next((tmp_path / "loso").rglob("fold_*.json")).read_text())
+    assert set(record) == {f.name for f in fields(FoldRun)}
+    assert set(record["metrics"]) == {f.name for f in fields(FoldMetrics)}
+    assert set(record["train_log"]) == {f.name for f in fields(TrainLog)}
+    assert (record["variant"], record["target"]) == ("cnn", "valence")
+
+
+def test_loso_preprocesses_each_record_once(synth_dir, config_file, tmp_path, monkeypatch):
+    calls = []
+    original = evaluation.preprocess_record
+
+    def counted(record, fspec, sspec):
+        calls.append((record.subject_id, record.trial_id))
+        return original(record, fspec, sspec)
+
+    monkeypatch.setattr(evaluation, "preprocess_record", counted)
+    assert _loso(synth_dir, config_file, tmp_path / "loso", "cnn,cnn_lstm", "valence,arousal") == 0
+    records = load_canonical(synth_dir).records
+    assert sorted(calls) == sorted((r.subject_id, r.trial_id) for r in records)
+
+
+@pytest.mark.parametrize("variants, targets", [("cnn,bogus", "valence"), ("cnn", "valence,bogus")])
+def test_loso_rejects_unknown_names_before_training(synth_dir, config_file, tmp_path, variants, targets):
+    out = tmp_path / "loso"
+    assert _loso(synth_dir, config_file, out, variants, targets) == 1
+    assert not list(out.rglob("fold_*.json"))
 
 
 def test_report_command_renders_table(tmp_path):

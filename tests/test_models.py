@@ -222,6 +222,19 @@ def test_model_config_dict_round_trip():
     assert clone == config
 
 
+def test_output_classes_two_is_accepted_and_dropped():
+    # manifests and config files written before the key was removed carry it
+    d = {**model_config_to_dict(SMALL), "output_classes": 2}
+    assert model_config_from_dict(d) == SMALL
+    assert "output_classes" not in model_config_to_dict(SMALL)
+
+
+def test_other_output_classes_rejected():
+    # the loss is one-hot over 2 classes and the AUC reads class 1
+    with pytest.raises(ConfigError, match="output_classes"):
+        model_config_from_dict({**model_config_to_dict(SMALL), "output_classes": 3})
+
+
 def test_save_writes_format_2_with_seen_batch_buffers(rng, tmp_path):
     model = build(SMALL, rng)
     model.forward(rng.standard_normal((4, 240, 1)), "train", rng)
