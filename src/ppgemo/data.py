@@ -18,6 +18,7 @@ import csv
 import json
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,6 +120,21 @@ def save_canonical(dataset: Dataset, path) -> None:
 def _read_signal(path: Path) -> np.ndarray:
     if not path.exists():
         raise DataError(f"missing signal file {path}")
+    try:
+        with warnings.catch_warnings():
+            # an empty file is reported by the line parser below
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(path, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    if values is not None and values.shape[1] == 1 and values.size:
+        return values[:, 0]
+    # anything but one number per line: parse again line by line, which
+    # names the offending line
+    return _read_signal_lines(path)
+
+
+def _read_signal_lines(path: Path) -> np.ndarray:
     values = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -137,12 +137,9 @@ def _case_conv(rng, padding):
     cin = int(rng.integers(1, 5))
     f = int(rng.integers(1, 5))
     k = int(rng.integers(1, min(t, 5) + 1))
-    if padding == "same":
-        stride, dilation = int(rng.integers(1, 4)), 1
-    else:
-        stride, dilation = 1, int(rng.integers(1, 3))
+    stride = int(rng.integers(1, 4)) if padding == "same" else 1
     act = "relu" if rng.random() < 0.7 else "none"
-    layer = Conv1d(cin, Conv1dSpec(f, k, stride, padding, act, dilation), rng)
+    layer = Conv1d(cin, Conv1dSpec(f, k, stride, padding, act), rng)
     x = rng.standard_normal((b, t, cin))
     return _layer_case(layer, x)
 
@@ -202,7 +199,7 @@ def _case_tcn(rng):
     spec = TcnSpec(
         filters=int(rng.integers(1, 4)),
         kernel_size=int(rng.integers(2, 4)),
-        dilations=((1,), (1, 2), (1, 2, 4))[int(rng.integers(0, 3))],
+        dilations=((1,), (1, 2), (1, 2, 4), (2, 4))[int(rng.integers(0, 4))],
         dropout_rate=float(rng.uniform(0.0, 0.5)),
         use_skip=bool(rng.random() < 0.7),
     )

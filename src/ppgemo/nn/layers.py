@@ -132,7 +132,6 @@ class Conv1dSpec:
     stride: int = 1
     padding: str = "same"
     activation: str = "none"
-    dilation: int = 1
 
     def __post_init__(self):
         if self.filters < 1:
@@ -141,8 +140,6 @@ class Conv1dSpec:
             raise ConfigError(f"kernel_size must be >= 1, got {self.kernel_size}")
         if self.stride < 1:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
-        if self.dilation < 1:
-            raise ConfigError(f"dilation must be >= 1, got {self.dilation}")
         if self.padding not in PADDINGS:
             raise ConfigError(f"padding must be one of {PADDINGS}, got {self.padding!r}")
         if self.activation not in CONV_ACTIVATIONS:
@@ -151,8 +148,6 @@ class Conv1dSpec:
             )
         if self.padding == "causal" and self.stride != 1:
             raise ConfigError("causal padding supports stride 1 only")
-        if self.padding == "same" and self.dilation != 1:
-            raise ConfigError("dilation > 1 is only supported with causal padding")
 
 
 class Conv1d(Layer):
@@ -160,14 +155,18 @@ class Conv1d(Layer):
 
     'same' padding keeps time_out = ceil(time / stride), splitting the
     total pad floor(pad/2) left and the remainder right. 'causal' padding
-    puts all (kernel-1)*dilation pad samples on the left so output t never
-    sees input beyond t, and keeps time_out = time.
+    puts all kernel-1 pad samples on the left so output t never sees input
+    beyond t, and keeps time_out = time.
 
-    One kernel serves every padding, stride and dilation. The padded input
-    is read through a window view [batch, time_out, kernel, channels] whose
-    element [b, t, j, c] is xp[b, t*stride + j*dilation, c]; the output is
-    that view unfolded to [batch*time_out, kernel*channels] times W
-    reshaped to [kernel*channels, filters], and dW is the unfolded view
+    A forward may compute only the output rows start, start + step, ... of
+    those time_out rows; the rest are never formed and backward sends no
+    gradient through them. The tape records which rows were computed.
+
+    One kernel serves every padding, stride and row selection. The padded
+    input is read through a window view [batch, rows, kernel, channels]
+    whose element [b, i, j, c] is xp[b, (start + i*step)*stride + j, c];
+    the output is that view unfolded to [batch*rows, kernel*channels] times
+    W reshaped to [kernel*channels, filters], and dW is the unfolded view
     transposed times dy. The unfolded copy is built a few batch rows at a
     time, at most CHUNK_ELEMS elements each (or one row, if a row is
     larger), so its memory stays bounded whatever the batch size. dX is
@@ -190,10 +189,11 @@ class Conv1d(Layer):
             return -(-time // self.spec.stride)
         return time
 
-    def _unfolded(self, xp):
-        """Yield (batch slice, unfolded windows [rows*time_out, kernel*channels])."""
-        k, s, d = self.spec.kernel_size, self.spec.stride, self.spec.dilation
-        win = sliding_window_view(xp, (k - 1) * d + 1, axis=1)[:, ::s, :, ::d]
+    def _unfolded(self, xp, start, step):
+        """Yield (batch slice, unfolded windows [batch rows * output rows,
+        kernel*channels]) for the output rows start::step."""
+        k, s = self.spec.kernel_size, self.spec.stride
+        win = sliding_window_view(xp, k, axis=1)[:, start * s :: s * step]
         win = win.swapaxes(2, 3)
         width = k * self.in_channels
         rows = max(1, CHUNK_ELEMS // (win.shape[1] * width))
@@ -201,7 +201,7 @@ class Conv1d(Layer):
             sl = slice(b0, b0 + rows)
             yield sl, win[sl].reshape(-1, width)
 
-    def forward(self, x, mode="train", rng=None):
+    def forward(self, x, mode="train", rng=None, start=0, step=1):
         _check_mode(mode)
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[2] != self.in_channels:
@@ -209,7 +209,7 @@ class Conv1d(Layer):
                 f"conv1d expected [batch, time, {self.in_channels}], got {x.shape}"
             )
         spec = self.spec
-        k, s, d, f = spec.kernel_size, spec.stride, spec.dilation, spec.filters
+        k, s, f = spec.kernel_size, spec.stride, spec.filters
         bsz, t, _ = x.shape
         t_out = self.output_len(t)
         if spec.padding == "same":
@@ -217,36 +217,37 @@ class Conv1d(Layer):
             left = pad // 2
             right = pad - left
         else:
-            left = (k - 1) * d
+            left = k - 1
             right = 0
         xp = np.pad(x, ((0, 0), (left, right), (0, 0)))
         w = self.params["W"].reshape(-1, f)
-        z = np.empty((bsz, t_out, f))
-        for sl, cols in self._unfolded(xp):
+        z = np.empty((bsz, len(range(start, t_out, step)), f))
+        for sl, cols in self._unfolded(xp, start, step):
             np.matmul(cols, w, out=z[sl].reshape(-1, f))
         z += self.params["b"]
-        self._record(mode, xp, z, t, left)
+        self._record(mode, xp, z, t, left, start, step)
         if spec.activation == "relu":
             return np.maximum(z, 0.0)
         return z
 
     def backward(self, dy):
-        xp, z, t, left = self._tape()
+        xp, z, t, left, start, step = self._tape()
         spec = self.spec
-        k, s, d, f = spec.kernel_size, spec.stride, spec.dilation, spec.filters
+        k, s, f = spec.kernel_size, spec.stride, spec.filters
         dy = np.asarray(dy, dtype=np.float64)
         if spec.activation == "relu":
             dy = dy * (z > 0.0)
         w = self.params["W"]
-        t_out = dy.shape[1]
         dw = np.zeros((k * self.in_channels, f))
         dxp = np.zeros_like(xp)
-        span = (t_out - 1) * s + 1
-        for sl, cols in self._unfolded(xp):
+        # output row i read xp[first + i*stride_in + j] through tap j
+        first, stride_in = start * s, s * step
+        span = (dy.shape[1] - 1) * stride_in + 1
+        for sl, cols in self._unfolded(xp, start, step):
             dyc, dxc = dy[sl], dxp[sl]
             dw += cols.T @ dyc.reshape(-1, f)
             for j in range(k):
-                dxc[:, j * d : j * d + span : s, :] += dyc @ w[j].T
+                dxc[:, first + j : first + j + span : stride_in, :] += dyc @ w[j].T
         self.grads = {"W": dw.reshape(w.shape), "b": dy.sum(axis=(0, 1))}
         return dxp[:, left : left + t, :]
 
@@ -441,14 +442,22 @@ class Dropout(Layer):
         super().__init__()
         self.rate = spec.rate
 
-    def forward(self, x, mode="train", rng=None):
+    def forward(self, x, mode="train", rng=None, drawn=None):
+        """`drawn=(time, rows)`: x holds only the time steps `rows` (a slice)
+        of a `time`-step sequence. The mask is drawn for all `time` steps,
+        as a forward over the whole sequence draws it, and cut to `rows`."""
         _check_mode(mode)
         x = np.asarray(x, dtype=np.float64)
         scale = None
         if mode == "train" and self.rate > 0.0:
             if rng is None:
                 raise StateError("dropout in train mode needs an explicit rng")
-            scale = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
+            if drawn is None:
+                keep = rng.random(x.shape) >= self.rate
+            else:
+                time, rows = drawn
+                keep = (rng.random((x.shape[0], time, x.shape[2])) >= self.rate)[:, rows]
+            scale = keep / (1.0 - self.rate)
         self._record(mode, scale)
         return x if scale is None else x * scale
 

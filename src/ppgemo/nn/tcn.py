@@ -1,13 +1,23 @@
 """Temporal convolutional stack: dilated causal residual blocks.
 
-One residual block per dilation d: two dilated causal convolutions
-(kernel k, dilation d, F filters), each followed by relu and dropout,
-plus a residual connection from the block input (through a width-1
-convolution when the channel counts differ). With skip connections
-enabled, the per-block outputs are summed and relu-activated before the
-final time step is selected.
+One residual block per dilation d: two causal convolutions of dilation d
+(kernel k, F filters), each followed by relu and dropout, plus a residual
+from the block input (through a width-1 convolution when the channel
+counts differ). With skip connections the block outputs are summed and
+relu-activated. The model reads the final step T-1 only; its receptive
+field is 1 + 2*(k-1)*sum(dilations).
 
-The receptive field of the final step is 1 + 2*(k-1)*sum(dilations).
+`forward` computes only the rows that step depends on. Each dilation must
+divide the next. Then the block of dilation d reads its input only at the
+steps T-1, T-1-d, ..., the subsequence [:, (T-1) % d :: d]. On it both
+convolutions are undilated, and the block keeps only the rows the next
+block reads: every (d_next/d)-th one, ending at T-1; the last block keeps
+T-1 alone. Train-mode dropout draws each mask at [batch, T, F], in the
+order of a full-sequence pass, and keeps the rows in use, so a seeded run
+draws the same masks either way.
+
+`forward_sequence` evaluates every step, in infer mode: a block of
+dilation d runs once per phase p < d, on the steps p, p + d, ...
 """
 
 from __future__ import annotations
@@ -37,8 +47,10 @@ class TcnSpec:
             raise ConfigError("dilations must be non-empty")
         if any(d < 1 for d in self.dilations):
             raise ConfigError(f"dilations must be >= 1, got {self.dilations}")
-        if list(self.dilations) != sorted(self.dilations):
-            raise ConfigError(f"dilations must be ascending, got {self.dilations}")
+        if any(b % a for a, b in zip(self.dilations, self.dilations[1:])):
+            raise ConfigError(
+                f"dilations must be ascending, each dividing the next, got {self.dilations}"
+            )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         # tuples survive dataclasses.replace / JSON round-trips as lists
@@ -50,11 +62,11 @@ class TcnSpec:
 
 
 class _Block(Layer):
-    """conv-relu-drop twice, plus the residual path."""
+    """conv-relu-drop twice, plus the residual path, on one subsequence."""
 
-    def __init__(self, in_channels: int, spec: TcnSpec, dilation: int, rng):
+    def __init__(self, in_channels: int, spec: TcnSpec, rng):
         super().__init__()
-        cspec = Conv1dSpec(spec.filters, spec.kernel_size, 1, "causal", "relu", dilation)
+        cspec = Conv1dSpec(spec.filters, spec.kernel_size, 1, "causal", "relu")
         self.conv_a = Conv1d(in_channels, cspec, rng)
         self.drop_a = Dropout(DropoutSpec(spec.dropout_rate))
         self.conv_b = Conv1d(spec.filters, cspec, rng)
@@ -72,17 +84,29 @@ class _Block(Layer):
             out.append(("proj", self.proj))
         return out
 
-    def forward(self, h, mode, rng):
-        u = self.drop_a.forward(self.conv_a.forward(h, mode), mode, rng)
-        u = self.drop_b.forward(self.conv_b.forward(u, mode), mode, rng)
-        res = self.proj.forward(h, mode) if self.proj is not None else h
+    def forward(self, h, mode, rng, time, d, d_next):
+        """`h` holds the block input at the steps t = time-1 (mod d) of a
+        `time`-step sequence, where the block's dilation-d convs are
+        undilated ones. The output is kept at the steps t = time-1
+        (mod d_next) that the next block reads; d divides d_next."""
+        rows = slice(((time - 1) % d_next) // d, None, d_next // d)
+        u = self.conv_a.forward(h, mode)
+        u = self.drop_a.forward(u, mode, rng, (time, slice((time - 1) % d, None, d)))
+        u = self.conv_b.forward(u, mode, start=rows.start, step=rows.step)
+        kept = slice((time - 1) % d_next, None, d_next)
+        u = self.drop_b.forward(u, mode, rng, (time, kept))
+        res = h[:, rows]
+        if self.proj is not None:
+            res = self.proj.forward(res, mode)
+        self._record(mode, rows)
         return u + res
 
     def backward(self, dout):
+        (rows,) = self._tape()
         du = self.conv_b.backward(self.drop_b.backward(dout))
-        du = self.conv_a.backward(self.drop_a.backward(du))
-        dres = self.proj.backward(dout) if self.proj is not None else dout
-        return du + dres
+        dh = self.conv_a.backward(self.drop_a.backward(du))
+        dh[:, rows] += self.proj.backward(dout) if self.proj is not None else dout
+        return dh
 
 
 class Tcn(Layer):
@@ -91,58 +115,73 @@ class Tcn(Layer):
         self.spec = spec
         self.blocks = []
         ch = in_channels
-        for d in spec.dilations:
-            self.blocks.append(_Block(ch, spec, d, rng))
+        for _ in spec.dilations:
+            self.blocks.append(_Block(ch, spec, rng))
             ch = spec.filters
 
     def sublayers(self):
         return [(f"block{i}", block) for i, block in enumerate(self.blocks)]
 
-    def forward_sequence(self, x, mode="train", rng=None):
-        """Full-sequence output [batch, time, filters], before the final
-        time step is selected."""
-        _check_mode(mode)
+    @staticmethod
+    def _checked(x):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3:
             raise ShapeError(f"tcn expected [batch, time, channels], got {x.shape}")
-        h = x
-        skips = []
-        for block in self.blocks:
-            h = block.forward(h, mode, rng)
-            skips.append(h)
-        z = None
-        if self.spec.use_skip:
-            z = skips[0].copy()
-            for s_ in skips[1:]:
-                z += s_
-        self._record(mode, z, h.shape)
-        return h if z is None else np.maximum(z, 0.0)
+        return x
 
     def forward(self, x, mode="train", rng=None):
-        return self.forward_sequence(x, mode, rng)[:, -1, :]
-
-    def backward_sequence(self, dseq):
-        z, _ = self._tape()
-        return self._backward_blocks(z, np.asarray(dseq, dtype=np.float64))
+        """Output at the final time step, [batch, filters]."""
+        _check_mode(mode)
+        x = self._checked(x)
+        t = x.shape[1]
+        ds = self.spec.dilations
+        # the last block keeps the final step only: no step is d * t after it
+        d_next = ds[1:] + (ds[-1] * t,)
+        h = x[:, (t - 1) % ds[0] :: ds[0]]
+        z = None
+        for block, d, dn in zip(self.blocks, ds, d_next):
+            h = block.forward(h, mode, rng, t, d, dn)
+            if self.spec.use_skip:
+                z = h[:, -1] if z is None else z + h[:, -1]
+        self._record(mode, z, x.shape)
+        return h[:, -1] if z is None else np.maximum(z, 0.0)
 
     def backward(self, dy):
         z, shape = self._tape()
-        dseq = np.zeros(shape)
-        dseq[:, -1, :] = np.asarray(dy, dtype=np.float64)
-        return self._backward_blocks(z, dseq)
+        dy = np.asarray(dy, dtype=np.float64)
+        dlast = dy if z is None else dy * (z > 0.0)
+        dh = dlast[:, None, :]
+        for i, block in enumerate(reversed(self.blocks)):
+            # a block's output feeds the next block and, at the final step,
+            # the skip sum
+            if i and z is not None:
+                dh[:, -1] += dlast
+            dh = block.backward(dh)
+        d0 = self.spec.dilations[0]
+        dx = np.zeros(shape)
+        dx[:, (shape[1] - 1) % d0 :: d0] = dh
+        return dx
 
-    def _backward_blocks(self, z, dseq):
-        if z is not None:
-            dskip = dseq * (z > 0.0)
-            dh = np.zeros_like(dskip)
-        else:
-            dskip = None
-            dh = dseq
-        for block in reversed(self.blocks):
-            # a block's output feeds both the next block and the skip sum
-            dout = dh if dskip is None else dh + dskip
-            dh = block.backward(dout)
-        return dh
+    def forward_sequence(self, x, mode="infer"):
+        """Full-sequence output [batch, time, filters], before the final
+        time step is selected. Infer mode only; records no tape. A block of
+        dilation d runs once per phase p < d, on the steps p, p + d, ...,
+        which it sees as an undilated sequence."""
+        if mode != "infer":
+            raise ConfigError(f"forward_sequence runs in infer mode only, got {mode!r}")
+        h = self._checked(x)
+        z = None
+        for block, d in zip(self.blocks, self.spec.dilations):
+            out = np.empty(h.shape[:2] + (self.spec.filters,))
+            for p in range(min(d, h.shape[1])):
+                hp = h[:, p::d]
+                out[:, p::d] = block.forward(hp, "infer", None, hp.shape[1], 1, 1)
+            h = out
+            if self.spec.use_skip:
+                z = h if z is None else z + h
+        # the blocks ran in infer mode and dropped their tapes; drop ours too
+        self._record(mode)
+        return h if z is None else np.maximum(z, 0.0)
 
     def own_kink_margin(self) -> float:
         z = None if self._cache is None else self._cache[0]

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.signal import butter, sosfilt
 
 from .errors import ConfigError, DataError, SignalTooShortError
 
@@ -114,6 +113,10 @@ def design_bandpass(spec: FilterSpec) -> np.ndarray:
     `spec.order` poles per band edge, so the realized filter order is
     2 * spec.order.
     """
+    # imported here: scipy.signal alone takes ~0.9 s to import, which every
+    # CLI command would pay even when it filters nothing
+    from scipy.signal import butter
+
     return butter(
         spec.order,
         [spec.low_hz, spec.high_hz],
@@ -136,6 +139,8 @@ def apply_filter(signal: np.ndarray, spec: FilterSpec) -> np.ndarray:
     bad = ~np.isfinite(x)
     if bad.any():
         raise DataError(f"non-finite sample at index {int(np.argmax(bad))}")
+    from scipy.signal import sosfilt
+
     return sosfilt(design_bandpass(spec), x)
 
 

@@ -6,6 +6,8 @@ share no code path with what they verify.
 
 import numpy as np
 
+from ppgemo.nn import Conv1dSpec
+
 
 def sos_magnitude_db(sos, f_hz, fs_hz):
     """|H| in dB at one frequency, evaluating each biquad on the unit circle."""
@@ -83,8 +85,14 @@ def hr_variability_stat(x, fs_hz, chunk_s=10.0):
     return float(np.std(found))
 
 
-def _conv1d_pad(x, spec):
-    k, s, d = spec.kernel_size, spec.stride, spec.dilation
+def rel_err(got, want):
+    """Largest elementwise error relative to the reference's largest magnitude."""
+    scale = max(float(np.abs(want).max(initial=0.0)), 1e-300)
+    return float(np.abs(got - want).max(initial=0.0)) / scale
+
+
+def _conv1d_pad(x, spec, dilation):
+    k, s, d = spec.kernel_size, spec.stride, dilation
     t = x.shape[1]
     if spec.padding == "same":
         t_out = -(-t // s)
@@ -98,10 +106,11 @@ def _conv1d_pad(x, spec):
     return np.pad(x, ((0, 0), (left, right), (0, 0))), t_out, left
 
 
-def conv1d_forward(x, w, b, spec):
-    """Conv1d output and pre-activation, one matmul per kernel tap."""
-    k, s, d = spec.kernel_size, spec.stride, spec.dilation
-    xp, t_out, _ = _conv1d_pad(x, spec)
+def conv1d_forward(x, w, b, spec, dilation=1):
+    """Conv1d output and pre-activation over every output row, one matmul
+    per kernel tap; taps are `dilation` input steps apart."""
+    k, s, d = spec.kernel_size, spec.stride, dilation
+    xp, t_out, _ = _conv1d_pad(x, spec, d)
     z = np.zeros((x.shape[0], t_out, spec.filters))
     span = (t_out - 1) * s + 1
     for j in range(k):
@@ -111,10 +120,10 @@ def conv1d_forward(x, w, b, spec):
     return y, z
 
 
-def conv1d_backward(x, w, spec, z, dy):
-    """(dx, dW, db) of Conv1d, one einsum and one scatter per kernel tap."""
-    k, s, d = spec.kernel_size, spec.stride, spec.dilation
-    xp, t_out, left = _conv1d_pad(x, spec)
+def conv1d_backward(x, w, spec, z, dy, dilation=1):
+    """(dx, dW, db) of conv1d_forward, one einsum and one scatter per kernel tap."""
+    k, s, d = spec.kernel_size, spec.stride, dilation
+    xp, t_out, left = _conv1d_pad(x, spec, d)
     if spec.activation == "relu":
         dy = dy * (z > 0.0)
     dw = np.empty_like(w)
@@ -125,3 +134,66 @@ def conv1d_backward(x, w, spec, z, dy):
         dw[j] = np.einsum("btc,btf->cf", xp[:, sl, :], dy)
         dxp[:, sl, :] += dy @ w[j].T
     return dxp[:, left : left + x.shape[1], :], dw, dy.sum(axis=(0, 1))
+
+
+def tcn_forward(params, spec, x, mode="infer", rng=None):
+    """The TCN as a full-sequence stack of dilated causal convolutions.
+
+    `params` are a Tcn's `named_params()` and `spec` its TcnSpec. Every
+    block computes every time step; dropout masks are drawn per block (a,
+    then b) at [batch, time, filters]. Returns the final time step
+    [batch, filters] and the tape that tcn_backward reads.
+    """
+    conv = Conv1dSpec(spec.filters, spec.kernel_size, 1, "causal", "relu")
+    proj = Conv1dSpec(spec.filters, 1, 1, "same", "none")
+    h, tape, skips = x, [], []
+    for i, d in enumerate(spec.dilations):
+        p = {k.split(".", 1)[1]: v for k, v in params.items() if k.startswith(f"block{i}.")}
+        ya, za = conv1d_forward(h, p["conv_a.W"], p["conv_a.b"], conv, d)
+        ma = _dropout_scale(ya.shape, spec.dropout_rate, mode, rng)
+        ua = ya * ma
+        yb, zb = conv1d_forward(ua, p["conv_b.W"], p["conv_b.b"], conv, d)
+        mb = _dropout_scale(yb.shape, spec.dropout_rate, mode, rng)
+        res = conv1d_forward(h, p["proj.W"], p["proj.b"], proj)[0] if "proj.W" in p else h
+        tape.append((p, d, h, za, ma, ua, zb, mb))
+        h = yb * mb + res
+        skips.append(h)
+    z = sum(skips[1:], skips[0].copy()) if spec.use_skip else None
+    seq = h if z is None else np.maximum(z, 0.0)
+    return seq[:, -1], (tape, z, seq.shape)
+
+
+def tcn_backward(spec, tape, dy):
+    """(dx, grads keyed like named_grads()) of tcn_forward for an upstream
+    gradient `dy` at the final time step."""
+    blocks, z, shape = tape
+    conv = Conv1dSpec(spec.filters, spec.kernel_size, 1, "causal", "relu")
+    proj = Conv1dSpec(spec.filters, 1, 1, "same", "none")
+    dseq = np.zeros(shape)
+    dseq[:, -1] = dy
+    dskip = None if z is None else dseq * (z > 0.0)
+    dh = dseq if z is None else np.zeros(shape)
+    grads = {}
+    for i in reversed(range(len(blocks))):
+        p, d, h, za, ma, ua, zb, mb = blocks[i]
+        dout = dh if dskip is None else dh + dskip
+        dua, grads[f"block{i}.conv_b.W"], grads[f"block{i}.conv_b.b"] = conv1d_backward(
+            ua, p["conv_b.W"], conv, zb, dout * mb, d
+        )
+        dh, grads[f"block{i}.conv_a.W"], grads[f"block{i}.conv_a.b"] = conv1d_backward(
+            h, p["conv_a.W"], conv, za, dua * ma, d
+        )
+        if "proj.W" in p:
+            dres, grads[f"block{i}.proj.W"], grads[f"block{i}.proj.b"] = conv1d_backward(
+                h, p["proj.W"], proj, None, dout
+            )
+        else:
+            dres = dout
+        dh = dh + dres
+    return dh, grads
+
+
+def _dropout_scale(shape, rate, mode, rng):
+    if mode != "train" or rate == 0.0:
+        return np.ones(shape)
+    return (rng.random(shape) >= rate) / (1.0 - rate)

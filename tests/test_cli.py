@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -294,3 +297,12 @@ def test_config_file_with_removed_train_option_is_rejected(tmp_path):
     path.write_text(json.dumps({"train": {"reweight_per_batch": True}}))
     with pytest.raises(ConfigError, match="bad 'train' section"):
         resolve_run_config(argparse.Namespace(config=str(path), seed=None))
+
+
+def test_importing_the_cli_leaves_scipy_signal_unloaded():
+    # scipy.signal takes most of the CLI's import time; only filtering needs it
+    code = "import sys, ppgemo.cli; print('scipy.signal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -7,29 +7,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import conv1d_backward, conv1d_forward
+from oracles import conv1d_backward, conv1d_forward, rel_err
 from ppgemo.nn import Conv1d, Conv1dSpec
 from ppgemo.nn import layers
 
 TOL = 1e-12
 
 
-def rel_err(got, want):
-    """Largest elementwise error relative to the reference's largest magnitude."""
-    scale = max(float(np.abs(want).max(initial=0.0)), 1e-300)
-    return float(np.abs(got - want).max(initial=0.0)) / scale
-
-
-def assert_matches_oracle(conv, x, seed):
+def assert_matches_oracle(conv, x, seed, start=0, step=1):
+    """Rows start::step of the oracle's full output, and the oracle's
+    gradients for an upstream gradient that is zero on every other row."""
     dy_rng = np.random.default_rng(seed)
-    y = conv.forward(x)
+    y = conv.forward(x, start=start, step=step)
     dy = dy_rng.standard_normal(y.shape)
     dx = conv.backward(dy)
     w, b = conv.params["W"], conv.params["b"]
     y_ref, z_ref = conv1d_forward(x, w, b, conv.spec)
-    dx_ref, dw_ref, db_ref = conv1d_backward(x, w, conv.spec, z_ref, dy)
+    dy_full = np.zeros_like(y_ref)
+    dy_full[:, start::step] = dy
+    dx_ref, dw_ref, db_ref = conv1d_backward(x, w, conv.spec, z_ref, dy_full)
     for name, got, want in (
-        ("y", y, y_ref),
+        ("y", y, y_ref[:, start::step]),
         ("dx", dx, dx_ref),
         ("dW", conv.grads["W"], dw_ref),
         ("db", conv.grads["b"], db_ref),
@@ -41,41 +39,39 @@ def assert_matches_oracle(conv, x, seed):
 @st.composite
 def conv_cases(draw):
     padding = draw(st.sampled_from(("same", "causal")))
-    if padding == "same":
-        stride, dilation = draw(st.integers(1, 5)), 1
-    else:
-        stride, dilation = 1, draw(st.integers(1, 8))
     spec = Conv1dSpec(
         filters=draw(st.integers(1, 6)),
         kernel_size=draw(st.integers(1, 9)),
-        stride=stride,
+        stride=draw(st.integers(1, 5)) if padding == "same" else 1,
         padding=padding,
         activation=draw(st.sampled_from(("relu", "none"))),
-        dilation=dilation,
     )
     shape = (draw(st.integers(1, 5)), draw(st.integers(1, 40)), draw(st.integers(1, 5)))
-    return spec, shape, draw(st.integers(0, 2**32 - 1))
+    # most draws select every row; the rest, rows start::step
+    rows = draw(st.one_of(st.just((0, 1)), st.tuples(st.integers(0, 40), st.integers(1, 6))))
+    return spec, shape, rows, draw(st.integers(0, 2**32 - 1))
 
 
 @given(case=conv_cases(), chunk_elems=st.integers(1, 600))
-def test_matches_oracle_for_every_padding_stride_dilation(case, chunk_elems):
+def test_matches_oracle_for_every_padding_stride_and_row_selection(case, chunk_elems):
     # a small chunk cap makes most drawn batches span several chunks,
     # including a short last one
-    spec, shape, seed = case
+    spec, shape, (start, step), seed = case
     rng = np.random.default_rng(seed)
     conv = Conv1d(shape[2], spec, rng)
     conv.params["b"][...] = rng.standard_normal(spec.filters)
+    start %= conv.output_len(shape[1])
     with mock.patch.object(layers, "CHUNK_ELEMS", chunk_elems):
-        assert_matches_oracle(conv, rng.standard_normal(shape), seed)
+        assert_matches_oracle(conv, rng.standard_normal(shape), seed, start, step)
 
 
 @pytest.mark.parametrize(
     "batch, time, channels, spec",
     [
-        # trunk conv1 and conv2, and a dilated TCN conv, at the model's shapes
+        # trunk conv1 and conv2, and a TCN conv, at the model's shapes
         (3, 6000, 1, Conv1dSpec(8, 64, 4, "same", "relu")),
         (3, 750, 8, Conv1dSpec(16, 32, 2, "same", "relu")),
-        (3, 187, 16, Conv1dSpec(8, 32, 1, "causal", "relu", 8)),
+        (3, 187, 16, Conv1dSpec(8, 32, 1, "causal", "relu")),
     ],
 )
 def test_matches_oracle_across_chunks_at_model_shapes(batch, time, channels, spec, rng):
@@ -83,3 +79,11 @@ def test_matches_oracle_across_chunks_at_model_shapes(batch, time, channels, spe
     width = spec.kernel_size * channels * conv.output_len(time)
     assert batch * width > layers.CHUNK_ELEMS  # the batch spans several chunks
     assert_matches_oracle(conv, rng.standard_normal((batch, time, channels)), 7)
+
+
+def test_end_aligned_rows_across_chunks_at_model_shape(rng):
+    # the default TCN's block 0 conv_b: 187 input rows, every second one
+    # computed, ending at the last
+    conv = Conv1d(8, Conv1dSpec(8, 32, 1, "causal", "relu"), rng)
+    assert 6 * 94 * 32 * 8 > layers.CHUNK_ELEMS
+    assert_matches_oracle(conv, rng.standard_normal((6, 187, 8)), 7, start=0, step=2)

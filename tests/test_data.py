@@ -74,6 +74,32 @@ class TestCanonicalRoundTrip:
         with pytest.raises(DataError, match=r"s1_t1\.txt:5"):
             load_canonical(tmp_path)
 
+    @pytest.mark.parametrize("bad", ["not-a-number", "1.0 2.0", "3,5"])
+    def test_non_numeric_line_is_quoted_and_counts_blank_lines(self, tmp_path, bad):
+        save_canonical(Dataset("x", _records(1, 1)), tmp_path)
+        sig = tmp_path / "signals" / "s1_t1.txt"
+        lines = sig.read_text().splitlines()
+        lines[2] = ""
+        lines[6] = bad
+        sig.write_text("\n".join(lines))
+        with pytest.raises(DataError, match=rf"s1_t1\.txt:7: non-numeric sample '{bad}'"):
+            load_canonical(tmp_path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        ds = Dataset("x", _records(1, 1))
+        save_canonical(ds, tmp_path)
+        sig = tmp_path / "signals" / "s1_t1.txt"
+        sig.write_text("\n\n" + sig.read_text().replace("\n", "\n  \n"))
+        loaded = load_canonical(tmp_path).records[0].samples
+        np.testing.assert_array_equal(loaded, ds.records[0].samples)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_signal_file(self, tmp_path, text):
+        save_canonical(Dataset("x", _records(1, 1)), tmp_path)
+        (tmp_path / "signals" / "s1_t1.txt").write_text(text)
+        with pytest.raises(DataError, match=r"s1_t1\.txt: signal file is empty"):
+            load_canonical(tmp_path)
+
     def test_nonbinary_label_rejected(self, tmp_path):
         save_canonical(Dataset("x", _records(1, 1)), tmp_path)
         manifest = tmp_path / "manifest.csv"

@@ -48,7 +48,7 @@ class TestConv1d:
         np.testing.assert_allclose(out, np.broadcast_to(expected, out.shape))
 
     def test_causal_never_sees_future(self, rng):
-        conv = Conv1d(1, Conv1dSpec(2, 3, padding="causal", dilation=2), rng)
+        conv = Conv1d(1, Conv1dSpec(2, 3, padding="causal"), rng)
         x = rng.standard_normal((1, 20, 1))
         base = conv.forward(x)
         bumped = x.copy()
