@@ -150,7 +150,7 @@ def _read_signal_lines(path: Path) -> np.ndarray:
     return np.asarray(values)
 
 
-def load_canonical(path, name: str | None = None) -> Dataset:
+def load_canonical(path) -> Dataset:
     root = Path(path)
     manifest = root / MANIFEST_NAME
     if not manifest.exists():
@@ -186,7 +186,7 @@ def load_canonical(path, name: str | None = None) -> Dataset:
                 records.append(PpgRecord(subject, trial, fs, samples, **labels))
             except DataError as exc:
                 raise DataError(f"{where}: {exc}") from None
-    return Dataset(name or root.name, records)
+    return Dataset(root.name, records)
 
 
 # -- raw-study importer ----------------------------------------------------------

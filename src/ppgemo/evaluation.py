@@ -133,16 +133,10 @@ def auc(scores, labels) -> float:
     n_neg = s.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricUndefinedError("AUC undefined: only one class present")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(s.size)
-    sorted_s = s[order]
-    i = 0
-    while i < s.size:
-        j = i
-        while j < s.size and sorted_s[j] == sorted_s[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j + 1)  # average of 1-based ranks i+1..j
-        i = j
+    # a run of c tied scores ending at 1-based rank r holds ranks r-c+1..r,
+    # whose mean is r - (c-1)/2
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -356,8 +350,7 @@ def fit_model(
     cfg = replace(train_config, seed=seed, target=target)
     fit_segs = [s for subj in fit for s in by_subject[subj]]
     val_segs = [s for subj in val for s in by_subject[subj]]
-    tlog, _ = train(model, fit_segs, val_segs, cfg)
-    return model, tlog
+    return model, train(model, fit_segs, val_segs, cfg)
 
 
 def run_loso(

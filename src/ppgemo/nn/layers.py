@@ -14,8 +14,8 @@ Layers form a tree: ``sublayers()`` lists a layer's parts as ``(name,
 layer)`` pairs (``[]`` for a leaf). A layer keeps only its own arrays in
 ``params``, ``grads`` and ``buffers`` and overrides only
 ``own_kink_margin``. One walk (``walk``/``gather``, which serve the model
-too) derives ``named_params``, ``named_grads`` and ``named_buffers``, keyed
-by dotted paths such as ``block0.conv_a.W``, and ``kink_margin``.
+too) derives ``named_params`` and ``named_grads``, keyed by dotted paths
+such as ``block0.conv_a.W``, and ``kink_margin``.
 """
 
 from __future__ import annotations
@@ -94,9 +94,6 @@ class Layer:
 
     def named_grads(self) -> dict[str, np.ndarray]:
         return {**self.grads, **gather(self, "grads")}
-
-    def named_buffers(self) -> dict[str, np.ndarray]:
-        return {**self.buffers, **gather(self, "buffers")}
 
     def kink_margin(self) -> float:
         """Distance from the last forward pass to the nearest point where
@@ -269,17 +266,17 @@ class MaxPool1dSpec:
 
 class MaxPool1d(Layer):
     """Per-channel maximum over non-overlapping windows; trailing samples
-    that cannot fill a window are dropped."""
+    that cannot fill a window are dropped.
+
+    Forward computes only the maxima. Backward sends each window's gradient
+    to the first element equal to its maximum, the one argmax would pick."""
 
     def __init__(self, spec: MaxPool1dSpec):
         super().__init__()
         self.pool = spec.pool_size
 
-    def output_len(self, time: int) -> int:
-        return time // self.pool
-
     def _windows(self, a):
-        """View of `a` [batch, time, channels] as [batch, time // pool, pool, channels]."""
+        """View of `a` [batch, time, channels] as [batch, windows, window, channels]."""
         bsz, t, c = a.shape
         n = t // self.pool
         return a[:, : n * self.pool, :].reshape(bsz, n, self.pool, c)
@@ -291,55 +288,44 @@ class MaxPool1d(Layer):
             raise ShapeError(f"maxpool expected [batch, time, channels], got {x.shape}")
         if x.shape[1] < self.pool:
             raise ShapeError(f"time axis {x.shape[1]} shorter than pool window {self.pool}")
-        windows = self._windows(x)
-        arg = windows.argmax(axis=2)[:, :, None, :]
-        self._record(mode, x, arg)
-        return np.take_along_axis(windows, arg, axis=2)[:, :, 0, :]
+        out = self._windows(x).max(axis=2)
+        self._record(mode, x, out)
+        return out
 
     def backward(self, dy):
-        x, arg = self._tape()
+        x, out = self._tape()
         dy = np.asarray(dy, dtype=np.float64)
+        arg = (self._windows(x) == out[:, :, None, :]).argmax(axis=2, keepdims=True)
         dx = np.zeros_like(x)
         # windows do not overlap, so each input takes at most one gradient
         np.put_along_axis(self._windows(dx), arg, dy[:, :, None, :], axis=2)
         return dx
 
     def own_kink_margin(self) -> float:
-        if self._cache is None or self.pool < 2:
+        if self._cache is None:
             return np.inf
-        top2 = np.sort(self._windows(self._cache[0]), axis=2)[:, :, -2:, :]
+        windows = self._windows(self._cache[0])
+        if windows.shape[2] < 2:
+            return np.inf
+        top2 = np.sort(windows, axis=2)[:, :, -2:, :]
         return float((top2[:, :, 1, :] - top2[:, :, 0, :]).min())
 
 
-class GlobalMaxPool(Layer):
-    """Maximum over the time axis: [batch, time, channels] -> [batch, channels]."""
+class GlobalMaxPool(MaxPool1d):
+    """Maximum over the time axis: [batch, time, channels] -> [batch, channels];
+    a max pool whose one window is the whole sequence."""
+
+    def __init__(self):
+        super().__init__(MaxPool1dSpec(1))
+
+    def _windows(self, a):
+        return a[:, None]
 
     def forward(self, x, mode="train", rng=None):
-        _check_mode(mode)
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3:
-            raise ShapeError(f"global max pool expected 3-d input, got {x.shape}")
-        arg = x.argmax(axis=1)
-        self._record(mode, x, arg)
-        return np.take_along_axis(x, arg[:, None, :], axis=1)[:, 0, :]
+        return super().forward(x, mode, rng)[:, 0]
 
     def backward(self, dy):
-        x, arg = self._tape()
-        dy = np.asarray(dy, dtype=np.float64)
-        dx = np.zeros_like(x)
-        bb = np.arange(x.shape[0])[:, None]
-        cc = np.arange(x.shape[2])[None, :]
-        dx[bb, arg, cc] = dy
-        return dx
-
-    def own_kink_margin(self) -> float:
-        if self._cache is None:
-            return np.inf
-        x, _ = self._cache
-        if x.shape[1] < 2:
-            return np.inf
-        top2 = np.sort(x, axis=1)[:, -2:, :]
-        return float((top2[:, 1, :] - top2[:, 0, :]).min())
+        return super().backward(np.asarray(dy)[:, None])
 
 
 @dataclass(frozen=True)

@@ -122,8 +122,7 @@ def compute_class_weights(labels) -> np.ndarray:
     return y.size / (2.0 * counts)
 
 
-def weighted_cce(probs, onehot, weights) -> float:
-    """Mean over the batch of -w_y * ln p_y, with p clamped to [1e-12, 1]."""
+def _loss_inputs(probs, onehot) -> tuple[np.ndarray, np.ndarray]:
     probs = np.asarray(probs, dtype=np.float64)
     onehot = np.asarray(onehot, dtype=np.float64)
     if probs.ndim != 2 or probs.shape != onehot.shape:
@@ -131,6 +130,12 @@ def weighted_cce(probs, onehot, weights) -> float:
             f"probs and onehot must be matching 2-d arrays, got {probs.shape} "
             f"vs {onehot.shape}"
         )
+    return probs, onehot
+
+
+def weighted_cce(probs, onehot, weights) -> float:
+    """Mean over the batch of -w_y * ln p_y, with p clamped to [1e-12, 1]."""
+    probs, onehot = _loss_inputs(probs, onehot)
     p = np.clip(probs, PROB_FLOOR, 1.0)
     nll = -(onehot * np.log(p)).sum(axis=1)
     w = (onehot * np.asarray(weights)).sum(axis=1)
@@ -139,13 +144,7 @@ def weighted_cce(probs, onehot, weights) -> float:
 
 def weighted_cce_grad(probs, onehot, weights) -> np.ndarray:
     """Gradient of weighted_cce w.r.t. probs (zero where the clamp is active)."""
-    probs = np.asarray(probs, dtype=np.float64)
-    onehot = np.asarray(onehot, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape != onehot.shape:
-        raise ShapeError(
-            f"probs and onehot must be matching 2-d arrays, got {probs.shape} "
-            f"vs {onehot.shape}"
-        )
+    probs, onehot = _loss_inputs(probs, onehot)
     p = np.clip(probs, PROB_FLOOR, 1.0)
     g = -(onehot * np.asarray(weights)) / (p * probs.shape[0])
     return g * (probs >= PROB_FLOOR)
@@ -216,8 +215,8 @@ def predict_proba(model, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-def train(model, train_segments, val_segments, config: TrainConfig) -> tuple[TrainLog, dict]:
-    """Optimize `model` in place; returns the log and the best snapshot.
+def train(model, train_segments, val_segments, config: TrainConfig) -> TrainLog:
+    """Optimize `model` in place and return its TrainLog.
 
     Shuffled mini-batches (the last partial batch is kept), validation
     accuracy in infer mode after every epoch, early stopping on strict
@@ -269,4 +268,4 @@ def train(model, train_segments, val_segments, config: TrainConfig) -> tuple[Tra
     log.best_epoch = stopper.best_epoch
     log.stop_epoch = stop_epoch
     model.restore(best_snap)
-    return log, best_snap
+    return log

@@ -91,6 +91,36 @@ def rel_err(got, want):
     return float(np.abs(got - want).max(initial=0.0)) / scale
 
 
+def maxpool(x, dy, window=None):
+    """Max pool over non-overlapping windows of `window` time steps (the
+    whole time axis when None), one window at a time.
+
+    Returns the maxima [batch, windows, channels], the input gradient that
+    sends each dy entry to the first maximum of its window, and the smallest
+    gap between a window's largest and second-largest values (inf when the
+    windows hold one sample).
+    """
+    bsz, t, c = x.shape
+    size = t if window is None else window
+    out = np.empty((bsz, t // size, c))
+    dx = np.zeros_like(x)
+    margin = np.inf
+    for b in range(bsz):
+        for i in range(t // size):
+            for ch in range(c):
+                vals = [float(x[b, i * size + j, ch]) for j in range(size)]
+                first = 0
+                for j in range(1, size):
+                    if vals[j] > vals[first]:
+                        first = j
+                out[b, i, ch] = vals[first]
+                dx[b, i * size + first, ch] = dy[b, i, ch]
+                if size > 1:
+                    runner_up = max(v for j, v in enumerate(vals) if j != first)
+                    margin = min(margin, vals[first] - runner_up)
+    return out, dx, margin
+
+
 def _conv1d_pad(x, spec, dilation):
     k, s, d = spec.kernel_size, spec.stride, dilation
     t = x.shape[1]

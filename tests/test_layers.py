@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ppgemo.errors import ConfigError, ShapeError, StateError
 from ppgemo.nn import (
@@ -16,6 +18,7 @@ from ppgemo.nn import (
     MaxPool1dSpec,
     softmax,
 )
+from oracles import maxpool
 
 
 class TestConv1d:
@@ -204,6 +207,32 @@ class TestGlobalMaxPool:
         gpool.forward(x)
         dx = gpool.backward(np.array([[2.0]]))
         np.testing.assert_array_equal(dx, [[[0.0], [2.0], [0.0]]])
+
+
+@given(
+    window=st.one_of(st.none(), st.integers(1, 4)),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 13), st.integers(1, 3)),
+    relu=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pools_match_oracle_on_ties(window, shape, relu, seed):
+    # one-decimal values tie often and relu zeros tie more; the gradient of
+    # a tied window must go to its first maximum. window None is GlobalMaxPool.
+    bsz, t, c = shape
+    t = max(t, window or 1)
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.standard_normal((bsz, t, c)), 1)
+    if relu:
+        x = np.maximum(x, 0.0)
+    dy = rng.standard_normal((bsz, t // (window or t), c))
+    want_out, want_dx, want_margin = maxpool(x, dy, window)
+    if window is None:
+        pool, want_out, dy = GlobalMaxPool(), want_out[:, 0], dy[:, 0]
+    else:
+        pool = MaxPool1d(MaxPool1dSpec(window))
+    np.testing.assert_array_equal(pool.forward(x), want_out)
+    assert pool.kink_margin() == want_margin
+    np.testing.assert_array_equal(pool.backward(dy), want_dx)
 
 
 class TestSpecValidation:

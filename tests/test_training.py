@@ -179,37 +179,37 @@ class TestTrainLoop:
         val_segments = two_tone_segments(["d"], rng_seed=99)
         model = build(TINY_MODEL, np.random.default_rng(seed))
         cfg = TrainConfig(batch_size=16, max_epochs=200, patience=25, seed=seed)
-        log, snap = train(model, segments, val_segments, cfg)
-        return model, log, snap, val_segments
+        log = train(model, segments, val_segments, cfg)
+        return model, log, val_segments
 
     def test_learnability_smoke(self):
-        _, log, _, _ = self._run()
+        _, log, _ = self._run()
         assert max(log.train_acc) >= 0.95
         assert log.stop_epoch <= 200
 
     def test_loss_trend_mostly_decreasing(self):
-        _, log, _, _ = self._run()
+        _, log, _ = self._run()
         first = log.train_loss[: min(15, len(log.train_loss))]
         rises = sum(1 for a, b in zip(first, first[1:]) if b > a)
         assert rises <= 0.2 * (len(first) - 1) + 1
 
     def test_determinism_bit_identical_logs(self):
-        _, log1, _, _ = self._run(seed=11)
-        _, log2, _, _ = self._run(seed=11)
+        _, log1, _ = self._run(seed=11)
+        _, log2, _ = self._run(seed=11)
         assert log1.train_loss == log2.train_loss
         assert log1.train_acc == log2.train_acc
         assert log1.val_acc == log2.val_acc
         assert (log1.best_epoch, log1.stop_epoch) == (log2.best_epoch, log2.stop_epoch)
 
     def test_restore_best_parameters(self):
-        model, log, _, val_segments = self._run()
+        model, log, val_segments = self._run()
         x, y = segments_to_arrays(val_segments, "valence")
         restored_acc = float((predict_proba(model, x).argmax(axis=1) == y).mean())
         assert restored_acc == log.val_acc[log.best_epoch - 1]
         assert log.val_acc[log.best_epoch - 1] == max(log.val_acc)
 
     def test_stopping_rule_invariant(self):
-        _, log, _, _ = self._run()
+        _, log, _ = self._run()
         assert log.stop_epoch <= log.best_epoch + TINY_TRAIN.patience + 1
         assert log.stop_epoch == len(log.val_acc)
 
@@ -220,7 +220,7 @@ class TestTrainLoop:
         val_segments = two_tone_segments(["d"], rng_seed=99)
         model = build(TINY_MODEL, np.random.default_rng(0))
         cfg = TrainConfig(batch_size=16, max_epochs=3, patience=2, seed=0)
-        log, _ = train(model, segments, val_segments, cfg)
+        log = train(model, segments, val_segments, cfg)
         assert log.stop_epoch == 3
         assert len(log.train_loss) == len(log.val_acc) == 3
 
@@ -232,7 +232,7 @@ class TestTrainLoop:
         y = np.array([s.valence for s in segments])
         model = build(TINY_MODEL, np.random.default_rng(0))
         cfg = TrainConfig(batch_size=8, max_epochs=5, patience=2, seed=0)
-        log, _ = train(model, segments, val_segments, cfg)
+        log = train(model, segments, val_segments, cfg)
         np.testing.assert_allclose(log.class_weights, compute_class_weights(y))
 
     def test_empty_training_set(self):
