@@ -286,24 +286,24 @@ def import_ppge(raw_path, out_path, threshold: float = 5.0, fs_hz: float = 100.0
 # -- synthetic generator -----------------------------------------------------------
 
 
+# Waveform constants of the generator. Per-class tuples index by the
+# record's class label: class 1 beats faster and sways more, so both the
+# mean rate and its variability are learnable cues.
+HR_MEAN_HZ = (1.1, 2.1)
+HR_VARIABILITY_HZ = (0.03, 0.25)
+NOISE_STD = 0.05
+WANDER_AMP = 0.15
+
+
 @dataclass(frozen=True)
 class SynthSpec:
-    """Knobs for the synthetic pulse-signal generator.
-
-    Per-class tuples index by the record's class label: class 1 beats
-    faster and sways more, so both the mean rate and its variability are
-    learnable cues.
-    """
+    """Knobs for the synthetic pulse-signal generator."""
 
     n_subjects: int = 6
     trials_per_subject: int = 4
     duration_s: float = 120.0
     fs_hz: float = 100.0
     seed: int = 0
-    hr_mean_hz: tuple[float, float] = (1.1, 2.1)
-    hr_variability_hz: tuple[float, float] = (0.03, 0.25)
-    noise_std: float = 0.05
-    wander_amp: float = 0.15
 
     def __post_init__(self):
         if self.n_subjects < 1 or self.trials_per_subject < 1:
@@ -325,13 +325,13 @@ def _synth_signal(spec: SynthSpec, rng: np.random.Generator, cls: int) -> np.nda
     rate, plus low-frequency baseline wander and white noise."""
     n = int(round(spec.duration_s * spec.fs_hz))
     t = np.arange(n) / spec.fs_hz
-    hr0 = rng.normal(spec.hr_mean_hz[cls], 0.05)
+    hr0 = rng.normal(HR_MEAN_HZ[cls], 0.05)
     # smooth rate modulation from control points every 2 s
     n_ctrl = max(int(spec.duration_s / 2) + 2, 4)
     ctrl = rng.standard_normal(n_ctrl)
     mod = np.interp(np.linspace(0.0, n_ctrl - 1.0, n), np.arange(n_ctrl), ctrl)
     mod /= mod.std() + 1e-12
-    inst_hz = np.clip(hr0 + spec.hr_variability_hz[cls] * mod, 0.8, 3.0)
+    inst_hz = np.clip(hr0 + HR_VARIABILITY_HZ[cls] * mod, 0.8, 3.0)
     phase = 2.0 * np.pi * np.cumsum(inst_hz) / spec.fs_hz
     x = (
         np.sin(phase)
@@ -339,8 +339,8 @@ def _synth_signal(spec: SynthSpec, rng: np.random.Generator, cls: int) -> np.nda
         + 0.25 * np.sin(3.0 * phase + rng.uniform(0.0, 2.0 * np.pi))
     )
     wander_hz = rng.uniform(0.08, 0.25)
-    x += spec.wander_amp * np.sin(2.0 * np.pi * wander_hz * t + rng.uniform(0.0, 2.0 * np.pi))
-    x += spec.noise_std * rng.standard_normal(n)
+    x += WANDER_AMP * np.sin(2.0 * np.pi * wander_hz * t + rng.uniform(0.0, 2.0 * np.pi))
+    x += NOISE_STD * rng.standard_normal(n)
     return x
 
 

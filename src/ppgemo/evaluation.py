@@ -227,14 +227,6 @@ def round2(x: float) -> float:
     return float(d.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "folds": {t: [asdict(r) for r in rows] for t, rows in report.folds.items()},
-        "means": report.means,
-        "average": report.average,
-    }
-
-
 def report_from_dict(d: dict) -> EvalReport:
     return EvalReport(
         folds={t: [FoldMetrics(**r) for r in rows] for t, rows in d["folds"].items()},
@@ -244,7 +236,7 @@ def report_from_dict(d: dict) -> EvalReport:
 
 
 def save_reports(reports: dict[str, EvalReport], path) -> None:
-    payload = {v: report_to_dict(r) for v, r in reports.items()}
+    payload = {v: asdict(r) for v, r in reports.items()}
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
 

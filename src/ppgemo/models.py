@@ -20,19 +20,15 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .nn.layers import (
     BatchNorm1d,
-    BatchNorm1dSpec,
     Conv1d,
     Conv1dSpec,
     Dense,
-    DenseSpec,
     Dropout,
-    DropoutSpec,
     GlobalMaxPool,
     MaxPool1d,
-    MaxPool1dSpec,
     gather,
 )
-from .nn.lstm import Lstm, LstmSpec
+from .nn.lstm import Lstm
 from .nn.tcn import Tcn, TcnSpec
 
 VARIANTS = ("cnn", "cnn_lstm", "cnn_tcn_lstm")
@@ -238,9 +234,9 @@ def build(config: ModelConfig, rng: np.random.Generator) -> Model:
     for idx, conv in ((1, config.conv1), (2, config.conv2)):
         spec = Conv1dSpec(conv.filters, conv.kernel_size, conv.stride, "same", "relu")
         trunk.append((f"conv{idx}", Conv1d(ch, spec, rng)))
-        trunk.append((f"pool{idx}", MaxPool1d(MaxPool1dSpec(config.pool_size))))
-        trunk.append((f"bn{idx}", BatchNorm1d(conv.filters, BatchNorm1dSpec())))
-        trunk.append((f"drop{idx}", Dropout(DropoutSpec(config.dropout))))
+        trunk.append((f"pool{idx}", MaxPool1d(config.pool_size)))
+        trunk.append((f"bn{idx}", BatchNorm1d(conv.filters)))
+        trunk.append((f"drop{idx}", Dropout(config.dropout)))
         ch = conv.filters
 
     branches = {}
@@ -248,12 +244,12 @@ def build(config: ModelConfig, rng: np.random.Generator) -> Model:
         branches["gpool"] = GlobalMaxPool()
         feat = ch
     elif config.variant == "cnn_lstm":
-        branches["lstm"] = Lstm(ch, LstmSpec(config.lstm_units), rng)
+        branches["lstm"] = Lstm(ch, config.lstm_units, rng)
         feat = config.lstm_units
     else:  # cnn_tcn_lstm; ModelConfig rejects any other variant
         branches["tcn"] = Tcn(ch, config.tcn, rng)
-        branches["lstm"] = Lstm(ch, LstmSpec(config.lstm_units), rng)
+        branches["lstm"] = Lstm(ch, config.lstm_units, rng)
         feat = config.tcn.filters + config.lstm_units
 
-    head = Dense(feat, DenseSpec(2), rng)
+    head = Dense(feat, rng)
     return Model(config, trunk, branches, head)

@@ -21,18 +21,14 @@ import numpy as np
 from ..errors import StateError
 from .layers import (
     BatchNorm1d,
-    BatchNorm1dSpec,
     Conv1d,
     Conv1dSpec,
     Dense,
-    DenseSpec,
     Dropout,
-    DropoutSpec,
     GlobalMaxPool,
     MaxPool1d,
-    MaxPool1dSpec,
 )
-from .lstm import Lstm, LstmSpec
+from .lstm import Lstm
 from .tcn import Tcn, TcnSpec
 
 DEFAULT_STEP = 1e-5
@@ -149,7 +145,7 @@ def _case_maxpool(rng):
     t = int(rng.integers(3, 17))
     c = int(rng.integers(1, 5))
     pool = int(rng.integers(1, min(t, 4) + 1))
-    layer = MaxPool1d(MaxPool1dSpec(pool))
+    layer = MaxPool1d(pool)
     x = _spread_values(rng, (b, t, c))
     return _layer_case(layer, x)
 
@@ -166,7 +162,7 @@ def _case_batchnorm(rng):
     b = int(rng.integers(2, 4))
     t = int(rng.integers(2, 17))
     c = int(rng.integers(1, 5))
-    layer = BatchNorm1d(c, BatchNorm1dSpec())
+    layer = BatchNorm1d(c)
     layer.params["gamma"][:] = rng.normal(1.0, 0.3, c)
     layer.params["beta"][:] = rng.normal(0.0, 0.3, c)
     x = rng.standard_normal((b, t, c))
@@ -177,7 +173,7 @@ def _case_dropout(rng):
     b = int(rng.integers(1, 4))
     t = int(rng.integers(1, 17))
     c = int(rng.integers(1, 5))
-    layer = Dropout(DropoutSpec(float(rng.uniform(0.0, 0.7))))
+    layer = Dropout(float(rng.uniform(0.0, 0.7)))
     x = rng.standard_normal((b, t, c))
     return _layer_case(layer, x, loss_rng_seed=int(rng.integers(2**31)))
 
@@ -187,7 +183,7 @@ def _case_lstm(rng):
     t = int(rng.integers(1, 9))
     cin = int(rng.integers(1, 5))
     units = int(rng.integers(1, 5))
-    layer = Lstm(cin, LstmSpec(units), rng)
+    layer = Lstm(cin, units, rng)
     x = rng.standard_normal((b, t, cin))
     return _layer_case(layer, x)
 
@@ -214,7 +210,7 @@ def _case_dense_softmax_cce(rng):
 
     b = int(rng.integers(1, 4))
     fin = int(rng.integers(1, 5))
-    layer = Dense(fin, DenseSpec(2), rng)
+    layer = Dense(fin, rng)
     x = rng.standard_normal((b, fin))
     y = rng.integers(0, 2, b)
     onehot = np.eye(2)[y]

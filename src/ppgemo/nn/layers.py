@@ -6,7 +6,8 @@ records the values needed for differentiation (the tape), and
 ``backward(dy)`` consumes that tape, fills ``self.grads`` with parameter
 gradients, and returns the gradient with respect to the layer input.
 Randomness is never ambient: layers that need it take an explicit
-``numpy.random.Generator``.
+``numpy.random.Generator``. Layers take their hyperparameters as
+constructor arguments; only ``Conv1d`` bundles its five in a spec.
 
 Only train-mode forwards record a tape; infer-mode forwards keep none.
 
@@ -30,6 +31,11 @@ from ..errors import ConfigError, ShapeError, StateError
 MODES = ("train", "infer")
 PADDINGS = ("same", "causal")
 CONV_ACTIVATIONS = ("relu", "none")
+# 0.9 keeps inference within ~10 updates of the weights; framework-style
+# 0.99 assumes hundreds of optimizer steps per epoch, which subject-scale
+# PPG training does not have (often a single batch per epoch)
+BN_MOMENTUM = 0.9
+BN_EPSILON = 1e-3
 # Cap on the elements of one unfolded convolution block. 2**17 float64 is
 # 1 MB, which stays in a core's L2 cache between the copy that fills it and
 # the matmul that reads it: on a Xeon with 2 MB L2 per core, 2**20 made a
@@ -255,15 +261,6 @@ class Conv1d(Layer):
         return float(np.abs(z).min()) if z.size else np.inf
 
 
-@dataclass(frozen=True)
-class MaxPool1dSpec:
-    pool_size: int
-
-    def __post_init__(self):
-        if self.pool_size < 1:
-            raise ConfigError(f"pool_size must be >= 1, got {self.pool_size}")
-
-
 class MaxPool1d(Layer):
     """Per-channel maximum over non-overlapping windows; trailing samples
     that cannot fill a window are dropped.
@@ -271,9 +268,11 @@ class MaxPool1d(Layer):
     Forward computes only the maxima. Backward sends each window's gradient
     to the first element equal to its maximum, the one argmax would pick."""
 
-    def __init__(self, spec: MaxPool1dSpec):
+    def __init__(self, pool_size: int):
         super().__init__()
-        self.pool = spec.pool_size
+        if pool_size < 1:
+            raise ConfigError(f"pool_size must be >= 1, got {pool_size}")
+        self.pool = pool_size
 
     def _windows(self, a):
         """View of `a` [batch, time, channels] as [batch, windows, window, channels]."""
@@ -316,7 +315,7 @@ class GlobalMaxPool(MaxPool1d):
     a max pool whose one window is the whole sequence."""
 
     def __init__(self):
-        super().__init__(MaxPool1dSpec(1))
+        super().__init__(1)
 
     def _windows(self, a):
         return a[:, None]
@@ -328,34 +327,18 @@ class GlobalMaxPool(MaxPool1d):
         return super().backward(np.asarray(dy)[:, None])
 
 
-@dataclass(frozen=True)
-class BatchNorm1dSpec:
-    # 0.9 keeps inference within ~10 updates of the weights; framework-style
-    # 0.99 assumes hundreds of optimizer steps per epoch, which subject-scale
-    # PPG training does not have (often a single batch per epoch)
-    momentum: float = 0.9
-    epsilon: float = 1e-3
-
-    def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-
-
 class BatchNorm1d(Layer):
     """Channel-wise normalization pooling statistics over batch and time.
 
     Train mode normalizes with the current batch's statistics and keeps an
-    exponential moving average (running = m*running + (1-m)*batch) for
-    inference; infer mode uses the running statistics only and fails if no
-    training batch has ever been seen.
+    exponential moving average (running = m*running + (1-m)*batch, with
+    m = BN_MOMENTUM) for inference; infer mode uses the running statistics
+    only and fails if no training batch has ever been seen.
     """
 
-    def __init__(self, channels: int, spec: BatchNorm1dSpec):
+    def __init__(self, channels: int):
         super().__init__()
         self.channels = channels
-        self.spec = spec
         self.params = {"gamma": np.ones(channels), "beta": np.zeros(channels)}
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
@@ -382,7 +365,7 @@ class BatchNorm1d(Layer):
             # the first batch seeds the running stats outright, otherwise
             # inference is biased toward the arbitrary 0/1 init for the
             # first ~1/(1-momentum) updates
-            m = self.spec.momentum if self.seen_batch else 0.0
+            m = BN_MOMENTUM if self.seen_batch else 0.0
             self.running_mean *= m
             self.running_mean += (1.0 - m) * mean
             self.running_var *= m
@@ -394,7 +377,7 @@ class BatchNorm1d(Layer):
                     "batchnorm inference requested before any training batch"
                 )
             mean, var = self.running_mean, self.running_var
-        inv = 1.0 / np.sqrt(var + self.spec.epsilon)
+        inv = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat = (x - mean) * inv
         out = self.params["gamma"] * xhat + self.params["beta"]
         self._record(mode, xhat, inv, x.shape[0] * x.shape[1])
@@ -411,22 +394,15 @@ class BatchNorm1d(Layer):
         return (g * inv) * (dy - dbeta / n - xhat * (dgamma / n))
 
 
-@dataclass(frozen=True)
-class DropoutSpec:
-    rate: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.rate < 1.0:
-            raise ConfigError(f"rate must be in [0, 1), got {self.rate}")
-
-
 class Dropout(Layer):
     """Inverted dropout: train-time zeroing with a 1/(1-rate) rescale on
     the survivors, so inference is exactly the identity."""
 
-    def __init__(self, spec: DropoutSpec):
+    def __init__(self, rate: float):
         super().__init__()
-        self.rate = spec.rate
+        if not 0.0 <= rate < 1.0:
+            raise ConfigError(f"rate must be in [0, 1), got {rate}")
+        self.rate = rate
 
     def forward(self, x, mode="train", rng=None, drawn=None):
         """`drawn=(time, rows)`: x holds only the time steps `rows` (a slice)
@@ -453,25 +429,16 @@ class Dropout(Layer):
         return dy if scale is None else dy * scale
 
 
-@dataclass(frozen=True)
-class DenseSpec:
-    units: int
-
-    def __post_init__(self):
-        if self.units < 1:
-            raise ConfigError(f"units must be >= 1, got {self.units}")
-
-
 class Dense(Layer):
-    """Affine map on [batch, features] through a row-wise softmax."""
+    """The binary head: an affine map from [batch, features] to two logits,
+    through a row-wise softmax."""
 
-    def __init__(self, in_features: int, spec: DenseSpec, rng: np.random.Generator):
+    def __init__(self, in_features: int, rng: np.random.Generator):
         super().__init__()
         self.in_features = in_features
-        self.spec = spec
         self.params = {
-            "W": glorot_uniform(rng, (in_features, spec.units), in_features, spec.units),
-            "b": np.zeros(spec.units),
+            "W": glorot_uniform(rng, (in_features, 2), in_features, 2),
+            "b": np.zeros(2),
         }
 
     def forward(self, x, mode="train", rng=None):

@@ -9,11 +9,11 @@ Recurrence, with sigma the logistic function:
     h_t = o * tanh(c_t)
 
 h_0 = c_0 = 0 and only h_T is emitted. The forget-gate bias starts at 1.0.
+Only a train-mode forward keeps every step's gates, cells and hidden states
+for backward; an infer-mode forward keeps one step of each.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -22,21 +22,14 @@ from ..errors import ConfigError, ShapeError
 from .layers import Layer, _check_mode, glorot_uniform
 
 
-@dataclass(frozen=True)
-class LstmSpec:
-    units: int
-
-    def __post_init__(self):
-        if self.units < 1:
-            raise ConfigError(f"units must be >= 1, got {self.units}")
-
-
 class Lstm(Layer):
-    def __init__(self, in_features: int, spec: LstmSpec, rng: np.random.Generator):
+    def __init__(self, in_features: int, units: int, rng: np.random.Generator):
         super().__init__()
+        if units < 1:
+            raise ConfigError(f"units must be >= 1, got {units}")
         self.in_features = in_features
-        self.units = spec.units
-        u = spec.units
+        self.units = units
+        u = units
         b = np.zeros(4 * u)
         b[u : 2 * u] = 1.0
         self.params = {
@@ -57,20 +50,22 @@ class Lstm(Layer):
         w, r, bias = self.params["W"], self.params["R"], self.params["b"]
         h = np.zeros((bsz, u))
         c = np.zeros((bsz, u))
-        gates = np.empty((t, bsz, 4 * u))
-        cells = np.empty((t, bsz, u))
-        hiddens = np.zeros((t + 1, bsz, u))  # hiddens[k] is h_{k-1} seen by step k
+        # steps kept: all of them for backward, else step k overwrites k-1
+        n = t if mode == "train" else 1
+        gates = np.empty((n, bsz, 4 * u))
+        cells = np.empty((n, bsz, u))
+        hiddens = np.zeros((n + 1, bsz, u))  # hiddens[k] is h_{k-1} seen by step k
         for k in range(t):
             z = x[:, k, :] @ w + h @ r + bias
-            gate = gates[k]
+            gate = gates[k % n]
             # one logistic pass over the packed block; g is then overwritten
             expit(z, out=gate)
             i, f, g, o = gate[:, :u], gate[:, u : 2 * u], gate[:, 2 * u : 3 * u], gate[:, 3 * u :]
             np.tanh(z[:, 2 * u : 3 * u], out=g)
             c = f * c + i * g
             h = o * np.tanh(c)
-            cells[k] = c
-            hiddens[k + 1] = h
+            cells[k % n] = c
+            hiddens[k % n + 1] = h
         self._record(mode, x, gates, cells, hiddens)
         return h
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from .layers import Conv1d, Conv1dSpec, Dropout, DropoutSpec, Layer, _check_mode
+from .layers import Conv1d, Conv1dSpec, Dropout, Layer, _check_mode
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,9 @@ class _Block(Layer):
         super().__init__()
         cspec = Conv1dSpec(spec.filters, spec.kernel_size, 1, "causal", "relu")
         self.conv_a = Conv1d(in_channels, cspec, rng)
-        self.drop_a = Dropout(DropoutSpec(spec.dropout_rate))
+        self.drop_a = Dropout(spec.dropout_rate)
         self.conv_b = Conv1d(spec.filters, cspec, rng)
-        self.drop_b = Dropout(DropoutSpec(spec.dropout_rate))
+        self.drop_b = Dropout(spec.dropout_rate)
         self.proj = None
         if in_channels != spec.filters:
             self.proj = Conv1d(

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from oracles import brute_force_auc, oracle_accuracy, oracle_f1, oracle_weighted_f1
@@ -16,7 +18,6 @@ from ppgemo.evaluation import (
     render_csv,
     render_markdown,
     report_from_dict,
-    report_to_dict,
     round2,
     save_reports,
     weighted_f1,
@@ -274,7 +275,7 @@ class TestReportSerialization:
 
     def test_round_trip(self):
         report = self._report()
-        assert report_from_dict(report_to_dict(report)) == report
+        assert report_from_dict(asdict(report)) == report
 
     def test_file_round_trip(self, tmp_path):
         reports = {"cnn_tcn_lstm": self._report()}

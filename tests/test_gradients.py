@@ -3,7 +3,7 @@ suite; the full 20-case-per-layer run lives in the acceptance tests."""
 
 import numpy as np
 
-from ppgemo.nn import Conv1d, Conv1dSpec, Dense, DenseSpec, Lstm, LstmSpec, Tcn, TcnSpec
+from ppgemo.nn import Conv1d, Conv1dSpec, Dense, Lstm, Tcn, TcnSpec
 from ppgemo.nn.gradcheck import run_suite
 from ppgemo.training import weighted_cce_grad
 
@@ -36,7 +36,7 @@ def test_zero_upstream_gives_zero_grads(rng):
 def test_softmax_cce_bias_gradient_closed_form(rng):
     # single sample, unit weights: dL/dz = p - onehot, and the bias gradient
     # equals dL/dz directly
-    dense = Dense(3, DenseSpec(2), rng)
+    dense = Dense(3, rng)
     x = rng.standard_normal((1, 3))
     onehot = np.array([[0.0, 1.0]])
     probs = dense.forward(x)
@@ -46,7 +46,7 @@ def test_softmax_cce_bias_gradient_closed_form(rng):
 
 class TestLstmFixedPoints:
     def test_all_zero_parameters_give_zero_state(self, rng):
-        lstm = Lstm(3, LstmSpec(4), rng)
+        lstm = Lstm(3, 4, rng)
         for p in lstm.params.values():
             p[...] = 0.0
         out = lstm.forward(rng.standard_normal((2, 6, 3)))
@@ -55,14 +55,14 @@ class TestLstmFixedPoints:
     def test_single_step_hand_computation(self, rng):
         # all weights and biases zero: i = f = o = 0.5, g = tanh(0) = 0,
         # so c1 = 0 and h1 = 0.5 * tanh(0) = 0 regardless of the input
-        lstm = Lstm(1, LstmSpec(1), rng)
+        lstm = Lstm(1, 1, rng)
         for p in lstm.params.values():
             p[...] = 0.0
         out = lstm.forward(np.array([[[3.7]]]))
         np.testing.assert_array_equal(out, [[0.0]])
 
     def test_zero_point_is_fixed_for_longer_sequences(self, rng):
-        lstm = Lstm(2, LstmSpec(3), rng)
+        lstm = Lstm(2, 3, rng)
         for p in lstm.params.values():
             p[...] = 0.0
         out = lstm.forward(rng.standard_normal((1, 40, 2)))

@@ -6,18 +6,16 @@ from hypothesis import strategies as st
 from ppgemo.errors import ConfigError, ShapeError, StateError
 from ppgemo.nn import (
     BatchNorm1d,
-    BatchNorm1dSpec,
     Conv1d,
     Conv1dSpec,
     Dense,
-    DenseSpec,
     Dropout,
-    DropoutSpec,
     GlobalMaxPool,
+    Lstm,
     MaxPool1d,
-    MaxPool1dSpec,
     softmax,
 )
+from ppgemo.nn.layers import BN_EPSILON
 from oracles import maxpool
 
 
@@ -72,17 +70,17 @@ class TestConv1d:
 
 class TestMaxPool1d:
     def test_basic(self):
-        pool = MaxPool1d(MaxPool1dSpec(2))
+        pool = MaxPool1d(2)
         x = np.array([1.0, 3.0, 2.0, 5.0]).reshape(1, 4, 1)
         np.testing.assert_array_equal(pool.forward(x).ravel(), [3.0, 5.0])
 
     def test_odd_length_drops_remainder(self, rng):
-        pool = MaxPool1d(MaxPool1dSpec(2))
+        pool = MaxPool1d(2)
         out = pool.forward(rng.standard_normal((1, 375, 16)))
         assert out.shape == (1, 187, 16)
 
     def test_constant_input(self):
-        pool = MaxPool1d(MaxPool1dSpec(3))
+        pool = MaxPool1d(3)
         out = pool.forward(np.full((2, 9, 2), 7.0))
         np.testing.assert_array_equal(out, np.full((2, 3, 2), 7.0))
 
@@ -90,47 +88,48 @@ class TestMaxPool1d:
         for _ in range(200):
             t = int(rng.integers(1, 50))
             p = int(rng.integers(1, min(t, 6) + 1))
-            pool = MaxPool1d(MaxPool1dSpec(p))
+            pool = MaxPool1d(p)
             out = pool.forward(rng.standard_normal((1, t, 1)))
             assert out.shape[1] == t // p
 
     def test_too_short(self):
         with pytest.raises(ShapeError):
-            MaxPool1d(MaxPool1dSpec(4)).forward(np.zeros((1, 3, 1)))
+            MaxPool1d(4).forward(np.zeros((1, 3, 1)))
 
 
 class TestBatchNorm1d:
     def test_train_normalizes_per_channel(self, rng):
-        bn = BatchNorm1d(3, BatchNorm1dSpec())
+        bn = BatchNorm1d(3)
         x = rng.standard_normal((4, 50, 3)) * 5.0 + 2.0
         out = bn.forward(x, "train")
         np.testing.assert_allclose(out.mean(axis=(0, 1)), 0.0, atol=1e-5)
         np.testing.assert_allclose(out.var(axis=(0, 1)), 1.0, atol=2e-3)
 
     def test_infer_uses_running_stats(self):
-        bn = BatchNorm1d(1, BatchNorm1dSpec(epsilon=1e-12))
+        bn = BatchNorm1d(1)
         bn.running_mean[...] = 1.0
         bn.running_var[...] = 4.0
         bn.seen_batch[...] = 1.0
         bn.params["gamma"][...] = 2.0
         bn.params["beta"][...] = 3.0
         out = bn.forward(np.full((1, 1, 1), 5.0), "infer")
-        assert out.ravel()[0] == pytest.approx(7.0, abs=1e-9)
+        want = 2.0 * 4.0 / np.sqrt(4.0 + BN_EPSILON) + 3.0
+        assert out.ravel()[0] == pytest.approx(want, abs=1e-12)
 
     def test_already_normalized_input_nearly_unchanged(self, rng):
-        bn = BatchNorm1d(2, BatchNorm1dSpec())
+        bn = BatchNorm1d(2)
         x = rng.standard_normal((8, 100, 2))
         x = (x - x.mean(axis=(0, 1))) / x.std(axis=(0, 1))
         out = bn.forward(x, "train")
         np.testing.assert_allclose(out, x, atol=3e-3)
 
     def test_infer_before_any_batch_raises(self):
-        bn = BatchNorm1d(2, BatchNorm1dSpec())
+        bn = BatchNorm1d(2)
         with pytest.raises(StateError):
             bn.forward(np.zeros((1, 4, 2)), "infer")
 
     def test_first_batch_seeds_running_stats(self, rng):
-        bn = BatchNorm1d(2, BatchNorm1dSpec())
+        bn = BatchNorm1d(2)
         x = rng.standard_normal((4, 30, 2)) * 3.0 + 1.0
         bn.forward(x, "train")
         np.testing.assert_allclose(bn.running_mean, x.mean(axis=(0, 1)))
@@ -139,24 +138,24 @@ class TestBatchNorm1d:
 
 class TestDropout:
     def test_rate_zero_is_identity(self, rng):
-        drop = Dropout(DropoutSpec(0.0))
+        drop = Dropout(0.0)
         x = rng.standard_normal((3, 5))
         np.testing.assert_array_equal(drop.forward(x, "train", rng), x)
         np.testing.assert_array_equal(drop.forward(x, "infer"), x)
 
     def test_infer_is_exact_identity(self, rng):
-        drop = Dropout(DropoutSpec(0.3))
+        drop = Dropout(0.3)
         x = rng.standard_normal((4, 7))
         assert drop.forward(x, "infer") is not None
         np.testing.assert_array_equal(drop.forward(x, "infer"), x)
 
     def test_train_needs_rng(self):
         with pytest.raises(StateError):
-            Dropout(DropoutSpec(0.3)).forward(np.zeros((2, 2)), "train")
+            Dropout(0.3).forward(np.zeros((2, 2)), "train")
 
     def test_monte_carlo_expectation(self, rng):
         # inverted dropout: E[out] == in, checked over 10000 masks
-        drop = Dropout(DropoutSpec(0.3))
+        drop = Dropout(0.3)
         x = rng.uniform(0.5, 2.0, size=(3, 7))
         total = np.zeros_like(x)
         for _ in range(10000):
@@ -166,7 +165,7 @@ class TestDropout:
 
 class TestDense:
     def _identity_dense(self, rng):
-        dense = Dense(2, DenseSpec(2), rng)
+        dense = Dense(2, rng)
         dense.params["W"][...] = np.eye(2)
         dense.params["b"][...] = 0.0
         return dense
@@ -192,7 +191,7 @@ class TestDense:
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
-            Dense(4, DenseSpec(2), rng).forward(np.zeros((1, 3)))
+            Dense(4, rng).forward(np.zeros((1, 3)))
 
 
 class TestGlobalMaxPool:
@@ -229,7 +228,7 @@ def test_pools_match_oracle_on_ties(window, shape, relu, seed):
     if window is None:
         pool, want_out, dy = GlobalMaxPool(), want_out[:, 0], dy[:, 0]
     else:
-        pool = MaxPool1d(MaxPool1dSpec(window))
+        pool = MaxPool1d(window)
     np.testing.assert_array_equal(pool.forward(x), want_out)
     assert pool.kink_margin() == want_margin
     np.testing.assert_array_equal(pool.backward(dy), want_dx)
@@ -238,17 +237,17 @@ def test_pools_match_oracle_on_ties(window, shape, relu, seed):
 class TestSpecValidation:
     def test_dropout_rate_range(self):
         with pytest.raises(ConfigError, match="rate"):
-            DropoutSpec(1.0)
+            Dropout(1.0)
         with pytest.raises(ConfigError, match="rate"):
-            DropoutSpec(-0.1)
+            Dropout(-0.1)
 
     def test_pool_size_positive(self):
         with pytest.raises(ConfigError, match="pool_size"):
-            MaxPool1dSpec(0)
+            MaxPool1d(0)
 
-    def test_batchnorm_momentum_range(self):
-        with pytest.raises(ConfigError, match="momentum"):
-            BatchNorm1dSpec(momentum=1.0)
+    def test_lstm_units_positive(self, rng):
+        with pytest.raises(ConfigError, match="units"):
+            Lstm(3, 0, rng)
 
     def test_conv_sizes_positive(self):
         with pytest.raises(ConfigError, match="filters"):
@@ -257,9 +256,7 @@ class TestSpecValidation:
             Conv1dSpec(2, 0)
 
     def test_lstm_shape_mismatch(self, rng):
-        from ppgemo.nn import Lstm, LstmSpec
-
-        lstm = Lstm(3, LstmSpec(2), rng)
+        lstm = Lstm(3, 2, rng)
         with pytest.raises(ShapeError):
             lstm.forward(np.zeros((1, 5, 4)))
 
@@ -269,9 +266,9 @@ class TestFiniteOutputs:
         x = rng.standard_normal((2, 24, 3)) * 10.0
         layers = [
             Conv1d(3, Conv1dSpec(4, 5, stride=2, activation="relu"), rng),
-            MaxPool1d(MaxPool1dSpec(2)),
-            BatchNorm1d(3, BatchNorm1dSpec()),
-            Dropout(DropoutSpec(0.5)),
+            MaxPool1d(2),
+            BatchNorm1d(3),
+            Dropout(0.5),
         ]
         for layer in layers:
             out = layer.forward(x, "train", rng)

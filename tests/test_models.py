@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +20,7 @@ from ppgemo.nn import Layer, TcnSpec, walk
 from ppgemo.training import predict_proba, weighted_cce_grad
 
 DATA = Path(__file__).parent / "data"
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # small configuration so model tests stay fast; shapes:
 # 240 -> conv s4 -> 60 -> pool -> 30 -> conv s2 -> 15 -> pool -> 7
@@ -280,3 +282,52 @@ def test_format_1_without_bn_initialized_fails_on_infer(tmp_path):
     model = Model.load(path)
     with pytest.raises(StateError, match="before any training batch"):
         model.forward(x, "infer")
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_perfbench_tracer_records_spans_flops_and_tapes(variant):
+    """perfbench's tracer reads model internals by name (`Model.trunk`,
+    `Model.branches`, `Tcn.blocks`, `Conv1d.spec`, `Conv1d.output_len`,
+    `Layer._cache`), and tier-1 never runs the benchmark: a rename fails
+    here, not only there."""
+    tracer_mod = _load_tracer()
+    tracer = tracer_mod.Tracer()
+    rng = np.random.default_rng(0)
+    model = tracer.instrument(build(replace(SMALL, variant=variant), rng))
+    x = rng.standard_normal((3, SMALL.input_len, 1))
+    with tracer.operation(1, "step"):
+        probs = model.forward(x, "train", rng)
+        model.backward(probs - np.eye(2)[[0, 1, 0]])
+
+    stages = [f"trunk.{name}" for name, _ in model.trunk] + list(model.branches) + ["head"]
+    tcn = model.branches.get("tcn")
+    if tcn is not None:
+        stages += [
+            f"tcn.block{b}.{name}" for b, block in enumerate(tcn.blocks) for name, _ in block.sublayers()
+        ]
+    names = [span[1] for span in tracer.spans]
+    for stage in stages:
+        assert names.count(f"{stage}.fwd") == 1, stage
+        assert names.count(f"{stage}.bwd") == 1, stage
+
+    flop_stages = [s for s in tracer_mod.FLOP_STAGES if s in stages]
+    tape_stages = [s for s in tracer_mod.TAPE_STAGES if s in stages]
+    assert "trunk.conv1" in flop_stages and "trunk.conv1" in tape_stages
+    for stage in flop_stages:
+        assert tracer.flops[f"{stage}.fwd"] > 0
+        assert tracer.flops[f"{stage}.bwd"] == 2 * tracer.flops[f"{stage}.fwd"]
+    for stage in tape_stages:
+        assert tracer.tape_mb[stage] > 0, stage
+
+    metrics = tracer.metrics({}, attempted=1, failed=0)
+    assert set(metrics) == set(tracer_mod.per_layer_units())
+    # the stages are the step root's direct children; how much of the step
+    # they cover is a timing, so only their link to the root is checked
+    assert metrics["trace.coverage_frac"] > 0
