@@ -23,7 +23,7 @@ from .errors import ConfigError, PpgEmoError
 from .models import ModelConfig, model_config_from_dict, model_config_to_dict
 from .nn.gradcheck import run_suite
 from .signals import FilterSpec, SegmenterSpec, preprocess_record
-from .training import TrainConfig, make_validation_split
+from .training import TrainConfig, check_target, make_validation_split
 
 # TrainConfig fields that `train` and `loso` also take as flags, with their types
 TRAIN_FLAGS = {"max_epochs": int, "batch_size": int, "patience": int, "learning_rate": float}
@@ -68,7 +68,11 @@ def resolve_run_config(args) -> RunConfig:
         mcfg = model_config_from_dict({**model_config_to_dict(ModelConfig()), **file_cfg["model"]})
     else:
         mcfg = ModelConfig()
-    tcfg = _make(TrainConfig, file_cfg.get("train", {}), "train")
+    # flags and file values make one TrainConfig, so fields that constrain each
+    # other (patience < max_epochs) are validated together
+    flags = {name: getattr(args, name, None) for name in TRAIN_FLAGS}
+    train = {**file_cfg.get("train", {}), **{k: v for k, v in flags.items() if v is not None}}
+    tcfg = _make(TrainConfig, train, "train")
 
     seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
     jobs = getattr(args, "jobs", None) or file_cfg.get("jobs", 1)
@@ -80,11 +84,6 @@ def resolve_run_config(args) -> RunConfig:
     targets = tuple(
         (getattr(args, "target", None) or file_cfg.get("target", "valence")).split(",")
     )
-
-    # one replace, so fields that constrain each other (patience < max_epochs)
-    # are validated together, not against the defaults one flag at a time
-    overrides = {name: getattr(args, name, None) for name in TRAIN_FLAGS}
-    tcfg = replace(tcfg, **{k: v for k, v in overrides.items() if v is not None})
 
     return RunConfig(fspec, sspec, mcfg, tcfg, dataset, out_dir, variants, targets, seed, jobs)
 
@@ -171,7 +170,7 @@ def cmd_train(args) -> int:
     if len(cfg.variants) != 1 or len(cfg.targets) != 1:
         raise ConfigError("train runs exactly one variant and one target")
     mcfg = replace(cfg.model, variant=cfg.variants[0])
-    tcfg = replace(cfg.train, seed=cfg.seed, target=cfg.targets[0])
+    target = check_target(cfg.targets[0])
     dataset = data_io.load_canonical(cfg.dataset)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -189,9 +188,9 @@ def cmd_train(args) -> int:
         if not fit:
             raise ConfigError("no training subjects left after the validation split")
     else:
-        fit, val = make_validation_split(subjects, tcfg, cfg.seed)
+        fit, val = make_validation_split(subjects, cfg.train, cfg.seed)
 
-    model, tlog = ev.fit_model(by_subject, fit, val, mcfg, tcfg, cfg.seed, tcfg.target)
+    model, tlog = ev.fit_model(by_subject, fit, val, mcfg, cfg.train, cfg.seed, target)
 
     with open(out / "trainlog.jsonl", "w") as fh:
         for row in tlog.to_records():

@@ -17,13 +17,14 @@ from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, MetricUndefinedError, ShapeError, StateError
+from .errors import ConfigError, DataError, MetricUndefinedError, ShapeError, StateError
 from .models import Model, ModelConfig, build
 from .signals import FilterSpec, Segment, SegmenterSpec, preprocess_record
 from .training import (
     TARGETS,
     TrainConfig,
     TrainLog,
+    check_target,
     make_validation_split,
     predict_proba,
     segments_to_arrays,
@@ -198,8 +199,7 @@ def aggregate(folds_by_target: dict[str, list[FoldMetrics]]) -> EvalReport:
     if not folds_by_target:
         raise DataError("no fold results to aggregate")
     for target in folds_by_target:
-        if target not in TARGETS:
-            raise DataError(f"unknown target {target!r}")
+        check_target(target)
     if len(folds_by_target) == 2:
         subjects = {
             t: sorted(r.test_subject for r in rows) for t, rows in folds_by_target.items()
@@ -339,10 +339,9 @@ def fit_model(
     early-stopping on the `val` subjects; returns (model, TrainLog) with the
     best epoch's parameters restored."""
     model = build(model_config, np.random.default_rng([seed, 0]))
-    cfg = replace(train_config, seed=seed, target=target)
     fit_segs = [s for subj in fit for s in by_subject[subj]]
     val_segs = [s for subj in val for s in by_subject[subj]]
-    return model, train(model, fit_segs, val_segs, cfg)
+    return model, train(model, fit_segs, val_segs, train_config, seed, target)
 
 
 def run_loso(
@@ -358,17 +357,22 @@ def run_loso(
 ) -> list[FoldRun]:
     """Full LOSO loop over every (variant, target, fold).
 
-    Every variant and target is validated before any work starts, and the
-    dataset is preprocessed once. Each fold trains a fresh model on the
-    other subjects (with a subject-grouped validation split for early
-    stopping) and evaluates on the held-out subject; `jobs` tasks run at
-    once, across variants and targets. Fold RNGs depend only on (seed,
-    fold, target), so a variant's results do not depend on `jobs` or on
-    the other variants. A repeated name runs once. Returns the runs in
-    (variant, target, fold) order.
+    Every variant and target, and the model's input length, is checked
+    before any work starts, and the dataset is preprocessed once. Each fold
+    trains a fresh model on the other subjects (with a subject-grouped
+    validation split for early stopping) and evaluates on the held-out
+    subject; `jobs` tasks run at once, across variants and targets. Fold
+    RNGs depend only on (seed, fold, target), so a variant's results do not
+    depend on `jobs` or on the other variants. A repeated name runs once.
+    Returns the runs in (variant, target, fold) order.
     """
     model_configs = {v: replace(model_config, variant=v) for v in variants}
-    train_configs = {t: replace(train_config, target=t) for t in targets}
+    targets = [check_target(t) for t in dict.fromkeys(targets)]
+    if model_config.input_len != sspec.window_samples:
+        raise ConfigError(
+            f"model input_len {model_config.input_len} does not match the "
+            f"{sspec.window_samples}-sample window (window_s * fs_hz)"
+        )
     by_subject = segments_by_subject(dataset.records, fspec, sspec)
     if not by_subject:
         raise DataError("dataset produced no segments")
@@ -378,7 +382,7 @@ def run_loso(
         fseed = fold_seed_for(seed, i, target)
         fit, val = make_validation_split(train_subjects, train_config, fseed)
         model, tlog = fit_model(
-            by_subject, fit, val, model_configs[variant], train_configs[target], fseed, target
+            by_subject, fit, val, model_configs[variant], train_config, fseed, target
         )
         metrics = evaluate_fold(model, by_subject[test_subject], target)
         log.info(
@@ -396,7 +400,7 @@ def run_loso(
     tasks = [
         (v, t, i, tr, te)
         for v in model_configs
-        for t in train_configs
+        for t in targets
         for i, (tr, te) in enumerate(folds)
     ]
     if jobs > 1:

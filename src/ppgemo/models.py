@@ -75,21 +75,20 @@ class ModelConfig:
 
 
 def model_config_to_dict(config: ModelConfig) -> dict:
-    d = asdict(config)
-    d["tcn"]["dilations"] = list(config.tcn.dilations)
-    return d
+    return asdict(config)
 
 
 def model_config_from_dict(d: dict) -> ModelConfig:
     d = dict(d)
-    # older manifests and config files name the head's width, which is always 2
+    # older manifests and config files carry the fixed output_classes 2 and use_skip true
     if d.pop("output_classes", 2) != 2:
         raise ConfigError("output_classes: the head has exactly 2 classes (binary labels)")
     try:
         d["conv1"] = ConvStage(**d["conv1"])
         d["conv2"] = ConvStage(**d["conv2"])
         tcn = dict(d["tcn"])
-        tcn["dilations"] = tuple(tcn["dilations"])
+        if not tcn.pop("use_skip", True):
+            raise ConfigError("use_skip: the TCN always sums its blocks' outputs")
         d["tcn"] = TcnSpec(**tcn)
         return ModelConfig(**d)
     except (KeyError, TypeError) as exc:

@@ -197,7 +197,6 @@ def _case_tcn(rng):
         kernel_size=int(rng.integers(2, 4)),
         dilations=((1,), (1, 2), (1, 2, 4), (2, 4))[int(rng.integers(0, 4))],
         dropout_rate=float(rng.uniform(0.0, 0.5)),
-        use_skip=bool(rng.random() < 0.7),
     )
     layer = Tcn(cin, spec, rng)
     x = rng.standard_normal((b, t, cin))

@@ -3,7 +3,7 @@
 One residual block per dilation d: two causal convolutions of dilation d
 (kernel k, F filters), each followed by relu and dropout, plus a residual
 from the block input (through a width-1 convolution when the channel
-counts differ). With skip connections the block outputs are summed and
+counts differ). The block outputs are summed (skip connections) and
 relu-activated. The model reads the final step T-1 only; its receptive
 field is 1 + 2*(k-1)*sum(dilations).
 
@@ -36,7 +36,6 @@ class TcnSpec:
     kernel_size: int = 32
     dilations: tuple[int, ...] = (1, 2, 4, 8)
     dropout_rate: float = 0.3
-    use_skip: bool = True
 
     def __post_init__(self):
         if self.filters < 1:
@@ -138,23 +137,21 @@ class Tcn(Layer):
         # the last block keeps the final step only: no step is d * t after it
         d_next = ds[1:] + (ds[-1] * t,)
         h = x[:, (t - 1) % ds[0] :: ds[0]]
-        z = None
+        z = None  # the skip sum
         for block, d, dn in zip(self.blocks, ds, d_next):
             h = block.forward(h, mode, rng, t, d, dn)
-            if self.spec.use_skip:
-                z = h[:, -1] if z is None else z + h[:, -1]
+            z = h[:, -1] if z is None else z + h[:, -1]
         self._record(mode, z, x.shape)
-        return h[:, -1] if z is None else np.maximum(z, 0.0)
+        return np.maximum(z, 0.0)
 
     def backward(self, dy):
         z, shape = self._tape()
-        dy = np.asarray(dy, dtype=np.float64)
-        dlast = dy if z is None else dy * (z > 0.0)
+        dlast = np.asarray(dy, dtype=np.float64) * (z > 0.0)
         dh = dlast[:, None, :]
         for i, block in enumerate(reversed(self.blocks)):
             # a block's output feeds the next block and, at the final step,
             # the skip sum
-            if i and z is not None:
+            if i:
                 dh[:, -1] += dlast
             dh = block.backward(dh)
         d0 = self.spec.dilations[0]
@@ -177,12 +174,11 @@ class Tcn(Layer):
                 hp = h[:, p::d]
                 out[:, p::d] = block.forward(hp, "infer", None, hp.shape[1], 1, 1)
             h = out
-            if self.spec.use_skip:
-                z = h if z is None else z + h
+            z = h if z is None else z + h
         # the blocks ran in infer mode and dropped their tapes; drop ours too
         self._record(mode)
-        return h if z is None else np.maximum(z, 0.0)
+        return np.maximum(z, 0.0)
 
     def own_kink_margin(self) -> float:
-        z = None if self._cache is None else self._cache[0]
-        return float(np.abs(z).min()) if z is not None and z.size else np.inf
+        z = np.empty(0) if self._cache is None else self._cache[0]
+        return float(np.abs(z).min()) if z.size else np.inf

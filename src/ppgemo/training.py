@@ -1,7 +1,7 @@
 """Weighted-loss optimization with Adam and early stopping.
 
-Training is deterministic for a fixed config seed: epoch shuffles and
-dropout masks come from generators derived from (seed, epoch), and the
+Training is deterministic for a fixed seed: epoch shuffles and dropout
+masks come from generators derived from (seed, epoch), and the
 best-validation parameters are restored when stopping.
 """
 
@@ -19,6 +19,17 @@ TARGETS = ("valence", "arousal")
 
 PROB_FLOOR = 1e-12
 
+# Adam's published defaults (Kingma & Ba, arXiv:1412.6980)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def check_target(target: str) -> str:
+    if target not in TARGETS:
+        raise ConfigError(f"target must be one of {TARGETS}, got {target!r}")
+    return target
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -26,12 +37,7 @@ class TrainConfig:
     max_epochs: int = 350
     patience: int = 80
     learning_rate: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     val_fraction_subjects: float = 0.2
-    seed: int = 0
-    target: str = "valence"
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -50,8 +56,6 @@ class TrainConfig:
                 f"val_fraction_subjects must be in (0, 1), got "
                 f"{self.val_fraction_subjects}"
             )
-        if self.target not in TARGETS:
-            raise ConfigError(f"target must be one of {TARGETS}, got {self.target!r}")
 
 
 @dataclass
@@ -167,17 +171,16 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update, applied to the parameters in place."""
     state.step += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     for k, p in params.items():
         g = grads[k]
         m, v = state.m[k], state.v[k]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def make_validation_split(train_subjects, config: TrainConfig, seed) -> tuple[list, list]:
@@ -197,8 +200,7 @@ def make_validation_split(train_subjects, config: TrainConfig, seed) -> tuple[li
 
 def segments_to_arrays(segments: list[Segment], target: str) -> tuple[np.ndarray, np.ndarray]:
     """Stack segments into [N, W, 1] inputs and an [N] label vector."""
-    if target not in TARGETS:
-        raise ConfigError(f"target must be one of {TARGETS}, got {target!r}")
+    check_target(target)
     if not segments:
         raise DataError("no segments to convert")
     x = np.stack([s.samples for s in segments]).astype(np.float64)[:, :, None]
@@ -215,8 +217,8 @@ def predict_proba(model, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-def train(model, train_segments, val_segments, config: TrainConfig) -> TrainLog:
-    """Optimize `model` in place and return its TrainLog.
+def train(model, train_segments, val_segments, config: TrainConfig, seed: int, target) -> TrainLog:
+    """Optimize `model` in place to predict `target` and return its TrainLog.
 
     Shuffled mini-batches (the last partial batch is kept), validation
     accuracy in infer mode after every epoch, early stopping on strict
@@ -230,8 +232,8 @@ def train(model, train_segments, val_segments, config: TrainConfig) -> TrainLog:
     if overlap:
         raise DataError(f"validation subjects leak into training: {sorted(overlap)}")
 
-    x, y = segments_to_arrays(train_segments, config.target)
-    xv, yv = segments_to_arrays(val_segments, config.target)
+    x, y = segments_to_arrays(train_segments, target)
+    xv, yv = segments_to_arrays(val_segments, target)
     fold_weights = compute_class_weights(y)
     onehot = np.eye(2)[y]
 
@@ -244,8 +246,8 @@ def train(model, train_segments, val_segments, config: TrainConfig) -> TrainLog:
 
     stop_epoch = config.max_epochs
     for epoch in range(1, config.max_epochs + 1):
-        order = np.random.default_rng([config.seed, epoch]).permutation(n)
-        drop_rng = np.random.default_rng([config.seed, epoch, 1])
+        order = np.random.default_rng([seed, epoch]).permutation(n)
+        drop_rng = np.random.default_rng([seed, epoch, 1])
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
@@ -257,9 +259,8 @@ def train(model, train_segments, val_segments, config: TrainConfig) -> TrainLog:
         log.train_acc.append(float((predict_proba(model, x).argmax(axis=1) == y).mean()))
         val_acc = float((predict_proba(model, xv).argmax(axis=1) == yv).mean())
         log.val_acc.append(val_acc)
-        improved = val_acc > stopper.best
         should_stop = stopper.update(epoch, val_acc)
-        if improved:
+        if stopper.best_epoch == epoch:
             best_snap = model.snapshot()
         if should_stop:
             stop_epoch = epoch

@@ -188,8 +188,8 @@ def tcn_forward(params, spec, x, mode="infer", rng=None):
         tape.append((p, d, h, za, ma, ua, zb, mb))
         h = yb * mb + res
         skips.append(h)
-    z = sum(skips[1:], skips[0].copy()) if spec.use_skip else None
-    seq = h if z is None else np.maximum(z, 0.0)
+    z = sum(skips[1:], skips[0].copy())
+    seq = np.maximum(z, 0.0)
     return seq[:, -1], (tape, z, seq.shape)
 
 
@@ -201,12 +201,12 @@ def tcn_backward(spec, tape, dy):
     proj = Conv1dSpec(spec.filters, 1, 1, "same", "none")
     dseq = np.zeros(shape)
     dseq[:, -1] = dy
-    dskip = None if z is None else dseq * (z > 0.0)
-    dh = dseq if z is None else np.zeros(shape)
+    dskip = dseq * (z > 0.0)
+    dh = np.zeros(shape)
     grads = {}
     for i in reversed(range(len(blocks))):
         p, d, h, za, ma, ua, zb, mb = blocks[i]
-        dout = dh if dskip is None else dh + dskip
+        dout = dh + dskip
         dua, grads[f"block{i}.conv_b.W"], grads[f"block{i}.conv_b.b"] = conv1d_backward(
             ua, p["conv_b.W"], conv, zb, dout * mb, d
         )

@@ -291,12 +291,57 @@ def test_train_flag_overrides_are_validated_together(synth_dir, config_file, tmp
     assert main([*argv[:-2], "--patience", "2"]) == 1
 
 
-def test_config_file_with_removed_train_option_is_rejected(tmp_path):
-    # reweight_per_batch no longer exists; a file that still sets it fails loudly
+# train options that no longer exist: the seed and target come from the top
+# level or from flags, and Adam's constants are fixed
+REMOVED_TRAIN_OPTIONS = {
+    "reweight_per_batch": True,
+    "seed": 123,
+    "target": "valence",
+    "adam_beta1": 0.9,
+    "adam_beta2": 0.999,
+    "adam_eps": 1e-8,
+}
+
+
+@pytest.mark.parametrize("option", REMOVED_TRAIN_OPTIONS)
+def test_config_file_with_removed_train_option_is_rejected(tmp_path, option):
+    # a file that still sets one fails loudly
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"train": {"reweight_per_batch": True}}))
+    path.write_text(json.dumps({"train": {option: REMOVED_TRAIN_OPTIONS[option]}}))
     with pytest.raises(ConfigError, match="bad 'train' section"):
         resolve_run_config(argparse.Namespace(config=str(path), seed=None))
+
+
+def test_loso_echo_keeps_seed_and_target_out_of_train(synth_dir, config_file, tmp_path):
+    out = tmp_path / "loso"
+    argv = ["loso", "--dataset", str(synth_dir), "--out", str(out), "--config",
+            str(config_file), "--variant", "cnn", "--target", "arousal", "--seed", "9"]
+    assert main(argv) == 0
+    echoed = json.loads((out / "run_config.json").read_text())
+    assert set(echoed["train"]) == set(CONFIG["train"]) | {"learning_rate", "val_fraction_subjects"}
+    assert (echoed["seed"], echoed["targets"]) == (9, ["arousal"])
+
+
+@pytest.mark.parametrize(
+    "command, target, window_s, message",
+    [
+        ("loso", "joy", 60.0, "target must be one of"),
+        ("train", "joy", 60.0, "target must be one of"),
+        ("loso", "valence", 30.0, "input_len 600 does not match the 300-sample window"),
+    ],
+)
+def test_bad_run_fails_before_preprocessing(
+    synth_dir, tmp_path, monkeypatch, capsys, command, target, window_s, message
+):
+    calls = []
+    monkeypatch.setattr(evaluation, "preprocess_record", lambda *args: calls.append(args))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**CONFIG, "segmenter": {**CONFIG["segmenter"], "window_s": window_s}}))
+    argv = [command, "--dataset", str(synth_dir), "--out", str(tmp_path / "out"), "--config",
+            str(path), "--variant", "cnn", "--target", target]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not calls
 
 
 def test_importing_the_cli_leaves_scipy_signal_unloaded():

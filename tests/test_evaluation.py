@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import brute_force_auc, oracle_accuracy, oracle_f1, oracle_weighted_f1
 
-from ppgemo.errors import DataError, MetricUndefinedError, ShapeError
+from ppgemo.errors import ConfigError, DataError, MetricUndefinedError, ShapeError
 from ppgemo.evaluation import (
     FoldMetrics,
     accuracy,
@@ -258,6 +258,10 @@ class TestAggregate:
     def test_fold_mismatch_between_targets(self):
         with pytest.raises(DataError, match="different folds"):
             aggregate({"valence": [fold("s1"), fold("s2")], "arousal": [fold("s1")]})
+
+    def test_unknown_target_rejected(self):
+        with pytest.raises(ConfigError, match="target must be one of"):
+            aggregate({"joy": [fold("s1")]})
 
     def test_undefined_auc_excluded_from_mean(self, caplog):
         rows = [fold("s1", auc=0.8), fold("s2", auc=None)]

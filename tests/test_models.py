@@ -225,16 +225,24 @@ def test_model_config_dict_round_trip():
 
 
 def test_output_classes_two_is_accepted_and_dropped():
-    # manifests and config files written before the key was removed carry it
+    # manifests and config files written before the keys were removed carry
+    # output_classes 2 and the TCN's use_skip true
     d = {**model_config_to_dict(SMALL), "output_classes": 2}
+    d["tcn"]["use_skip"] = True
     assert model_config_from_dict(d) == SMALL
     assert "output_classes" not in model_config_to_dict(SMALL)
+    assert "use_skip" not in model_config_to_dict(SMALL)["tcn"]
 
 
 def test_other_output_classes_rejected():
-    # the loss is one-hot over 2 classes and the AUC reads class 1
+    # the loss is one-hot over 2 classes and the AUC reads class 1; the TCN
+    # always sums its blocks' outputs
     with pytest.raises(ConfigError, match="output_classes"):
         model_config_from_dict({**model_config_to_dict(SMALL), "output_classes": 3})
+    d = model_config_to_dict(SMALL)
+    d["tcn"]["use_skip"] = False
+    with pytest.raises(ConfigError, match="use_skip"):
+        model_config_from_dict(d)
 
 
 def test_save_writes_format_2_with_seen_batch_buffers(rng, tmp_path):

@@ -86,12 +86,10 @@ def test_receptive_field_boundary(rng):
     assert not np.allclose(tcn.forward(inside, "infer"), base, rtol=0, atol=1e-12)
 
 
-def test_skip_and_no_skip_shapes(rng):
+def test_skip_sum_shapes(rng):
     x = rng.standard_normal((3, 20, 4))
-    for use_skip in (True, False):
-        spec = TcnSpec(filters=5, kernel_size=3, dilations=(1, 2), use_skip=use_skip)
-        out = Tcn(4, spec, rng).forward(x, "infer")
-        assert out.shape == (3, 5)
+    spec = TcnSpec(filters=5, kernel_size=3, dilations=(1, 2))
+    assert Tcn(4, spec, rng).forward(x, "infer").shape == (3, 5)
 
 
 def test_residual_projection_only_when_channels_differ(rng):
@@ -112,7 +110,6 @@ def tcn_cases(draw):
         kernel_size=draw(st.integers(1, 5)),
         dilations=tuple(dilations),
         dropout_rate=draw(st.sampled_from((0.0, 0.3))),
-        use_skip=draw(st.booleans()),
     )
     filters = spec.filters
     # equal widths leave the residual unprojected

@@ -27,7 +27,7 @@ TINY_MODEL = ModelConfig(
     tcn=TcnSpec(filters=3, kernel_size=3, dilations=(1, 2), dropout_rate=0.1),
     lstm_units=4,
 )
-TINY_TRAIN = TrainConfig(batch_size=16, max_epochs=200, patience=25, seed=3)
+TINY_TRAIN = TrainConfig(batch_size=16, max_epochs=200, patience=25)
 
 
 def two_tone_segments(subjects, per_subject=8, fs=40.0, rng_seed=0):
@@ -168,18 +168,13 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="patience"):
             TrainConfig(max_epochs=10, patience=10)
 
-    def test_bad_target(self):
-        with pytest.raises(ConfigError, match="target"):
-            TrainConfig(target="joy")
-
 
 class TestTrainLoop:
     def _run(self, seed=3):
         segments = two_tone_segments(["a", "b", "c"])
         val_segments = two_tone_segments(["d"], rng_seed=99)
         model = build(TINY_MODEL, np.random.default_rng(seed))
-        cfg = TrainConfig(batch_size=16, max_epochs=200, patience=25, seed=seed)
-        log = train(model, segments, val_segments, cfg)
+        log = train(model, segments, val_segments, TINY_TRAIN, seed, "valence")
         return model, log, val_segments
 
     def test_learnability_smoke(self):
@@ -219,8 +214,8 @@ class TestTrainLoop:
         segments = two_tone_segments(["a", "b"])
         val_segments = two_tone_segments(["d"], rng_seed=99)
         model = build(TINY_MODEL, np.random.default_rng(0))
-        cfg = TrainConfig(batch_size=16, max_epochs=3, patience=2, seed=0)
-        log = train(model, segments, val_segments, cfg)
+        cfg = TrainConfig(batch_size=16, max_epochs=3, patience=2)
+        log = train(model, segments, val_segments, cfg, 0, "valence")
         assert log.stop_epoch == 3
         assert len(log.train_loss) == len(log.val_acc) == 3
 
@@ -231,17 +226,23 @@ class TestTrainLoop:
         val_segments = two_tone_segments(["d"], rng_seed=5)
         y = np.array([s.valence for s in segments])
         model = build(TINY_MODEL, np.random.default_rng(0))
-        cfg = TrainConfig(batch_size=8, max_epochs=5, patience=2, seed=0)
-        log = train(model, segments, val_segments, cfg)
+        cfg = TrainConfig(batch_size=8, max_epochs=5, patience=2)
+        log = train(model, segments, val_segments, cfg, 0, "valence")
         np.testing.assert_allclose(log.class_weights, compute_class_weights(y))
 
     def test_empty_training_set(self):
         model = build(TINY_MODEL, np.random.default_rng(0))
         with pytest.raises(DataError):
-            train(model, [], two_tone_segments(["d"]), TINY_TRAIN)
+            train(model, [], two_tone_segments(["d"]), TINY_TRAIN, 3, "valence")
 
     def test_subject_overlap_rejected(self):
         model = build(TINY_MODEL, np.random.default_rng(0))
         segs = two_tone_segments(["a", "b"])
         with pytest.raises(DataError, match="leak"):
-            train(model, segs, two_tone_segments(["a"]), TINY_TRAIN)
+            train(model, segs, two_tone_segments(["a"]), TINY_TRAIN, 3, "valence")
+
+    def test_bad_target(self):
+        model = build(TINY_MODEL, np.random.default_rng(0))
+        segs = two_tone_segments(["a", "b"])
+        with pytest.raises(ConfigError, match="target"):
+            train(model, segs, two_tone_segments(["d"]), TINY_TRAIN, 3, "joy")
