@@ -12,7 +12,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import ConfigError, PpgEmoError
 from .models import ModelConfig, model_config_from_dict, model_config_to_dict
 from .nn.gradcheck import run_suite
 from .signals import FilterSpec, SegmenterSpec, preprocess_record
-from .training import TrainConfig, check_target, make_validation_split
+from .training import TrainConfig, make_validation_split
 
 # TrainConfig fields that `train` and `loso` also take as flags, with their types
 TRAIN_FLAGS = {"max_epochs": int, "batch_size": int, "patience": int, "learning_rate": float}
@@ -169,8 +169,8 @@ def cmd_train(args) -> int:
         raise ConfigError("train needs --dataset (or 'dataset' in the config file)")
     if len(cfg.variants) != 1 or len(cfg.targets) != 1:
         raise ConfigError("train runs exactly one variant and one target")
-    mcfg = replace(cfg.model, variant=cfg.variants[0])
-    target = check_target(cfg.targets[0])
+    configs, (target,) = ev.check_run(cfg.model, cfg.segmenter, cfg.variants, cfg.targets)
+    mcfg = configs[cfg.variants[0]]
     dataset = data_io.load_canonical(cfg.dataset)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -208,6 +208,7 @@ def cmd_loso(args) -> int:
     cfg = resolve_run_config(args)
     if not cfg.dataset:
         raise ConfigError("loso needs --dataset (or 'dataset' in the config file)")
+    ev.check_run(cfg.model, cfg.segmenter, cfg.variants, cfg.targets)
     dataset = data_io.load_canonical(cfg.dataset)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -344,6 +344,20 @@ def fit_model(
     return model, train(model, fit_segs, val_segs, train_config, seed, target)
 
 
+def check_run(model_config: ModelConfig, sspec: SegmenterSpec, variants, targets):
+    """Check every variant and target, and the model's input length against
+    the window, before a run loads or preprocesses anything. Returns the
+    model config of each variant and the targets, each name once."""
+    model_configs = {v: replace(model_config, variant=v) for v in variants}
+    targets = [check_target(t) for t in dict.fromkeys(targets)]
+    if model_config.input_len != sspec.window_samples:
+        raise ConfigError(
+            f"model input_len {model_config.input_len} does not match the "
+            f"{sspec.window_samples}-sample window (window_s * fs_hz)"
+        )
+    return model_configs, targets
+
+
 def run_loso(
     dataset: Dataset,
     fspec: FilterSpec,
@@ -366,13 +380,7 @@ def run_loso(
     depend on `jobs` or on the other variants. A repeated name runs once.
     Returns the runs in (variant, target, fold) order.
     """
-    model_configs = {v: replace(model_config, variant=v) for v in variants}
-    targets = [check_target(t) for t in dict.fromkeys(targets)]
-    if model_config.input_len != sspec.window_samples:
-        raise ConfigError(
-            f"model input_len {model_config.input_len} does not match the "
-            f"{sspec.window_samples}-sample window (window_s * fs_hz)"
-        )
+    model_configs, targets = check_run(model_config, sspec, variants, targets)
     by_subject = segments_by_subject(dataset.records, fspec, sspec)
     if not by_subject:
         raise DataError("dataset produced no segments")

@@ -174,14 +174,14 @@ class Model:
         self.shape_trace = trace
         return probs
 
-    def backward(self, dprobs) -> np.ndarray:
+    def backward(self, dprobs) -> None:
+        """Fill every layer's grads; the first conv computes no input gradient."""
         dfeat = self.head.backward(dprobs)
         parts = np.split(dfeat, np.cumsum(self._widths)[:-1], axis=1)
         dhs = [branch.backward(d) for branch, d in zip(self.branches.values(), parts)]
         dh = sum(dhs[1:], dhs[0])
         for _, layer in reversed(self.trunk):
             dh = layer.backward(dh)
-        return dh
 
     # -- persistence ----------------------------------------------------------
 
@@ -232,7 +232,8 @@ def build(config: ModelConfig, rng: np.random.Generator) -> Model:
     ch = 1  # raw PPG is the single input channel
     for idx, conv in ((1, config.conv1), (2, config.conv2)):
         spec = Conv1dSpec(conv.filters, conv.kernel_size, conv.stride, "same", "relu")
-        trunk.append((f"conv{idx}", Conv1d(ch, spec, rng)))
+        # no layer reads the raw signal's gradient
+        trunk.append((f"conv{idx}", Conv1d(ch, spec, rng, input_grad=idx > 1)))
         trunk.append((f"pool{idx}", MaxPool1d(config.pool_size)))
         trunk.append((f"bn{idx}", BatchNorm1d(conv.filters)))
         trunk.append((f"drop{idx}", Dropout(config.dropout)))

@@ -4,7 +4,8 @@ Tensors are plain float64 numpy arrays in row-major order. Every layer
 follows one protocol: ``forward(x, mode, rng)`` computes the output and
 records the values needed for differentiation (the tape), and
 ``backward(dy)`` consumes that tape, fills ``self.grads`` with parameter
-gradients, and returns the gradient with respect to the layer input.
+gradients, and returns the gradient with respect to the layer input (a
+``Conv1d`` built with ``input_grad=False`` returns None).
 Randomness is never ambient: layers that need it take an explicit
 ``numpy.random.Generator``. Layers take their hyperparameters as
 constructor arguments; only ``Conv1d`` bundles its five in a spec.
@@ -128,6 +129,19 @@ class Layer:
         return tape
 
 
+def _unfolded(a, k, first=0, stride=1):
+    """Yield (batch slice, unfolded windows [batch rows * windows, k*channels])
+    of `a` [batch, time, channels]: the k-step windows that start at first,
+    first + stride, ..., at most CHUNK_ELEMS elements (or one batch row) at
+    a time."""
+    win = sliding_window_view(a, k, axis=1)[:, first::stride].swapaxes(2, 3)
+    width = k * a.shape[2]
+    rows = max(1, CHUNK_ELEMS // (win.shape[1] * width))
+    for b0 in range(0, a.shape[0], rows):
+        sl = slice(b0, b0 + rows)
+        yield sl, win[sl].reshape(-1, width)
+
+
 @dataclass(frozen=True)
 class Conv1dSpec:
     filters: int
@@ -172,15 +186,31 @@ class Conv1d(Layer):
     W reshaped to [kernel*channels, filters], and dW is the unfolded view
     transposed times dy. The unfolded copy is built a few batch rows at a
     time, at most CHUNK_ELEMS elements each (or one row, if a row is
-    larger), so its memory stays bounded whatever the batch size. dX is
-    scattered back one tap at a time, chunk by chunk: dy @ W[j].T added
-    into the input positions that tap j read.
+    larger), so its memory stays bounded whatever the batch size.
+
+    dX is a transposed convolution (Dumoulin and Visin, arXiv:1603.07285)
+    computed as one correlation per input phase, through the same unfolded
+    kernel. Output row i reads xp[first + i*S + j] through tap j, where
+    first = start*stride and S = stride*step. The positions first + r +
+    m*S of phase r < S take the taps W[r::S], M of them: they are dy,
+    padded by M-1 rows on each side, correlated with those taps flipped in
+    time. Phases write disjoint positions; a phase r >= kernel_size has no
+    taps and its positions get no gradient. With input_grad=False (a
+    layer whose input is the raw signal) backward fills only the
+    parameter gradients and returns None.
     """
 
-    def __init__(self, in_channels: int, spec: Conv1dSpec, rng: np.random.Generator):
+    def __init__(
+        self,
+        in_channels: int,
+        spec: Conv1dSpec,
+        rng: np.random.Generator,
+        input_grad: bool = True,
+    ):
         super().__init__()
         self.in_channels = in_channels
         self.spec = spec
+        self.input_grad = input_grad
         k, f = spec.kernel_size, spec.filters
         self.params = {
             "W": glorot_uniform(rng, (k, in_channels, f), k * in_channels, k * f),
@@ -191,18 +221,6 @@ class Conv1d(Layer):
         if self.spec.padding == "same":
             return -(-time // self.spec.stride)
         return time
-
-    def _unfolded(self, xp, start, step):
-        """Yield (batch slice, unfolded windows [batch rows * output rows,
-        kernel*channels]) for the output rows start::step."""
-        k, s = self.spec.kernel_size, self.spec.stride
-        win = sliding_window_view(xp, k, axis=1)[:, start * s :: s * step]
-        win = win.swapaxes(2, 3)
-        width = k * self.in_channels
-        rows = max(1, CHUNK_ELEMS // (win.shape[1] * width))
-        for b0 in range(0, xp.shape[0], rows):
-            sl = slice(b0, b0 + rows)
-            yield sl, win[sl].reshape(-1, width)
 
     def forward(self, x, mode="train", rng=None, start=0, step=1):
         _check_mode(mode)
@@ -225,7 +243,7 @@ class Conv1d(Layer):
         xp = np.pad(x, ((0, 0), (left, right), (0, 0)))
         w = self.params["W"].reshape(-1, f)
         z = np.empty((bsz, len(range(start, t_out, step)), f))
-        for sl, cols in self._unfolded(xp, start, step):
+        for sl, cols in _unfolded(xp, k, start * s, s * step):
             np.matmul(cols, w, out=z[sl].reshape(-1, f))
         z += self.params["b"]
         self._record(mode, xp, z, t, left, start, step)
@@ -242,16 +260,26 @@ class Conv1d(Layer):
             dy = dy * (z > 0.0)
         w = self.params["W"]
         dw = np.zeros((k * self.in_channels, f))
-        dxp = np.zeros_like(xp)
         # output row i read xp[first + i*stride_in + j] through tap j
         first, stride_in = start * s, s * step
-        span = (dy.shape[1] - 1) * stride_in + 1
-        for sl, cols in self._unfolded(xp, start, step):
-            dyc, dxc = dy[sl], dxp[sl]
-            dw += cols.T @ dyc.reshape(-1, f)
-            for j in range(k):
-                dxc[:, first + j : first + j + span : stride_in, :] += dyc @ w[j].T
+        for sl, cols in _unfolded(xp, k, first, stride_in):
+            dw += cols.T @ dy[sl].reshape(-1, f)
         self.grads = {"W": dw.reshape(w.shape), "b": dy.sum(axis=(0, 1))}
+        if not self.input_grad:
+            return None
+        n = dy.shape[1]
+        pad = -(-k // stride_in) - 1  # phase 0 has the most taps
+        # rebinding frees the relu-masked copy
+        dy = np.pad(dy, ((0, 0), (pad, pad), (0, 0)))
+        dxp = np.zeros_like(xp)
+        for r in range(min(stride_in, k)):
+            taps = w[r::stride_in][::-1]
+            m = len(taps)
+            wt = taps.transpose(0, 2, 1).reshape(m * f, self.in_channels)
+            # position first + r + i*stride_in takes dy rows i-m+1 .. i
+            dxr = dxp[:, first + r :: stride_in][:, : n + m - 1]
+            for sl, cols in _unfolded(dy[:, pad - m + 1 : pad + n + m - 1], m):
+                dxr[sl] = (cols @ wt).reshape(-1, n + m - 1, self.in_channels)
         return dxp[:, left : left + t, :]
 
     def own_kink_margin(self) -> float:

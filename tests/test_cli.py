@@ -328,6 +328,7 @@ def test_loso_echo_keeps_seed_and_target_out_of_train(synth_dir, config_file, tm
         ("loso", "joy", 60.0, "target must be one of"),
         ("train", "joy", 60.0, "target must be one of"),
         ("loso", "valence", 30.0, "input_len 600 does not match the 300-sample window"),
+        ("train", "valence", 30.0, "input_len 600 does not match the 300-sample window"),
     ],
 )
 def test_bad_run_fails_before_preprocessing(
@@ -342,6 +343,8 @@ def test_bad_run_fails_before_preprocessing(
     assert main(argv) == 1
     assert message in capsys.readouterr().err
     assert not calls
+    # nothing, not even a run_config.json, records a run that never started
+    assert not (tmp_path / "out").exists()
 
 
 def test_importing_the_cli_leaves_scipy_signal_unloaded():

@@ -87,3 +87,38 @@ def test_end_aligned_rows_across_chunks_at_model_shape(rng):
     conv = Conv1d(8, Conv1dSpec(8, 32, 1, "causal", "relu"), rng)
     assert 6 * 94 * 32 * 8 > layers.CHUNK_ELEMS
     assert_matches_oracle(conv, rng.standard_normal((6, 187, 8)), 7, start=0, step=2)
+
+
+@pytest.mark.parametrize(
+    "channels, spec, start, step",
+    [
+        # stride*step > kernel_size: phases r >= kernel_size hold no tap
+        (2, Conv1dSpec(3, 3, 5, "same", "relu"), 0, 1),
+        (3, Conv1dSpec(2, 3, 2, "same", "none"), 1, 3),
+        (2, Conv1dSpec(4, 2, 1, "causal", "relu"), 2, 4),
+        (3, Conv1dSpec(2, 1, 1, "same", "none"), 0, 3),
+        # kernel_size not a multiple of stride*step: phases hold unequal tap counts
+        (2, Conv1dSpec(3, 7, 3, "same", "relu"), 0, 1),
+        (3, Conv1dSpec(2, 5, 2, "same", "none"), 1, 2),
+        (2, Conv1dSpec(3, 9, 1, "causal", "relu"), 0, 2),
+    ],
+)
+def test_phase_split_input_gradient(channels, spec, start, step):
+    rng = np.random.default_rng(11)
+    conv = Conv1d(channels, spec, rng)
+    conv.params["b"][...] = rng.standard_normal(spec.filters)
+    x = rng.standard_normal((4, 37, channels))
+    with mock.patch.object(layers, "CHUNK_ELEMS", 50):
+        assert_matches_oracle(conv, x, 3, start, step)
+        y = conv.forward(x, start=start, step=step)
+        dx = conv.backward(np.ones_like(y))
+    # the input steps that no computed row reads, by the oracle with unit
+    # weights and no activation, get exactly zero gradient
+    linear = Conv1dSpec(spec.filters, spec.kernel_size, spec.stride, spec.padding, "none")
+    dy_full = np.zeros((1, conv.output_len(x.shape[1]), spec.filters))
+    dy_full[:, start::step] = 1.0
+    reach = conv1d_backward(x[:1], np.ones_like(conv.params["W"]), linear, None, dy_full)[0]
+    unread = reach[0, :, 0] == 0.0
+    if spec.stride * step > spec.kernel_size:
+        assert unread[spec.kernel_size : -spec.kernel_size].any()
+    np.testing.assert_array_equal(dx[:, unread], 0.0)

@@ -4,7 +4,7 @@ suite; the full 20-case-per-layer run lives in the acceptance tests."""
 import numpy as np
 
 from ppgemo.nn import Conv1d, Conv1dSpec, Dense, Lstm, Tcn, TcnSpec
-from ppgemo.nn.gradcheck import run_suite
+from ppgemo.nn.gradcheck import FAMILIES, run_suite
 from ppgemo.training import weighted_cce_grad
 
 
@@ -23,6 +23,14 @@ def test_suite_smoke(rng):
     }
     for r in results:
         assert r.ok, f"{r.name}: max relative error {r.max_rel_err}"
+
+
+def test_conv_families_check_the_input_gradient():
+    rng = np.random.default_rng(0)
+    for name in ("conv1d_same", "conv1d_causal"):
+        for _ in range(5):
+            case = FAMILIES[name](rng)
+            assert case.analytic()["x"].shape == case.arrays["x"].shape
 
 
 def test_zero_upstream_gives_zero_grads(rng):

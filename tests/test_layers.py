@@ -63,6 +63,20 @@ class TestConv1d:
         with pytest.raises(ShapeError, match="3"):
             conv.forward(np.zeros((1, 10, 2)))
 
+    def test_without_input_grad_backward_fills_the_same_param_grads(self, rng):
+        spec = Conv1dSpec(8, 64, stride=4, padding="same", activation="relu")
+        x = rng.standard_normal((3, 600, 1))
+        dy = rng.standard_normal((3, 150, 8))
+        grads = {}
+        for input_grad in (True, False):
+            conv = Conv1d(1, spec, np.random.default_rng(5), input_grad=input_grad)
+            conv.forward(x)
+            dx = conv.backward(dy)
+            assert (dx is None) is not input_grad
+            grads[input_grad] = conv.grads
+        for name in ("W", "b"):
+            np.testing.assert_array_equal(grads[False][name], grads[True][name])
+
     def test_causal_requires_stride_one(self):
         with pytest.raises(ConfigError, match="stride"):
             Conv1dSpec(2, 3, stride=2, padding="causal")

@@ -16,7 +16,7 @@ from ppgemo.models import (
     model_config_from_dict,
     model_config_to_dict,
 )
-from ppgemo.nn import Layer, TcnSpec, walk
+from ppgemo.nn import Conv1d, Layer, TcnSpec, walk
 from ppgemo.training import predict_proba, weighted_cce_grad
 
 DATA = Path(__file__).parent / "data"
@@ -194,6 +194,15 @@ def test_backward_frees_every_tape(variant, rng):
         model.backward(dprobs)
     model.forward(x, "train", rng)
     model.backward(dprobs)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_only_the_first_conv_skips_its_input_gradient(variant, rng):
+    model = build(replace(SMALL, variant=variant), rng)
+    convs = {path: layer for path, layer in walk(model) if isinstance(layer, Conv1d)}
+    assert [path for path, conv in convs.items() if not conv.input_grad] == ["trunk.conv1"]
+    probs = model.forward(rng.standard_normal((4, 240, 1)), "train", rng)
+    assert model.backward(weighted_cce_grad(probs, np.eye(2)[[0, 1, 0, 1]], np.ones(2))) is None
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
