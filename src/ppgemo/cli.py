@@ -44,12 +44,24 @@ class RunConfig:
     seed: int
     jobs: int
 
+    def __post_init__(self):
+        if type(self.seed) is not int:  # not isinstance: a bool is an int too
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if type(self.jobs) is not int or self.jobs < 1:
+            raise ConfigError(f"jobs must be an integer >= 1, got {self.jobs!r}")
+
 
 def _make(cls, d: dict, section: str):
     try:
         return cls(**d)
     except TypeError as exc:
         raise ConfigError(f"bad '{section}' section in config file: {exc}") from None
+
+
+def _names(value, key: str) -> tuple[str, ...]:
+    if not isinstance(value, str):
+        raise ConfigError(f"'{key}' must be a comma-separated string, got {value!r}")
+    return tuple(value.split(","))
 
 
 def resolve_run_config(args) -> RunConfig:
@@ -64,10 +76,8 @@ def resolve_run_config(args) -> RunConfig:
 
     fspec = _make(FilterSpec, file_cfg.get("filter", {}), "filter")
     sspec = _make(SegmenterSpec, file_cfg.get("segmenter", {}), "segmenter")
-    if "model" in file_cfg:
-        mcfg = model_config_from_dict({**model_config_to_dict(ModelConfig()), **file_cfg["model"]})
-    else:
-        mcfg = ModelConfig()
+    model = {**model_config_to_dict(ModelConfig()), **file_cfg.get("model", {})}
+    mcfg = model_config_from_dict(model)
     # flags and file values make one TrainConfig, so fields that constrain each
     # other (patience < max_epochs) are validated together
     flags = {name: getattr(args, name, None) for name in TRAIN_FLAGS}
@@ -75,15 +85,13 @@ def resolve_run_config(args) -> RunConfig:
     tcfg = _make(TrainConfig, train, "train")
 
     seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
-    jobs = getattr(args, "jobs", None) or file_cfg.get("jobs", 1)
+    jobs = getattr(args, "jobs", None)
+    jobs = file_cfg.get("jobs", 1) if jobs is None else jobs
     dataset = getattr(args, "dataset", None) or file_cfg.get("dataset")
     out_dir = getattr(args, "out", None) or file_cfg.get("out_dir", "out")
-    variants = tuple(
-        (getattr(args, "variant", None) or file_cfg.get("variant", mcfg.variant)).split(",")
-    )
-    targets = tuple(
-        (getattr(args, "target", None) or file_cfg.get("target", "valence")).split(",")
-    )
+    variants = getattr(args, "variant", None) or file_cfg.get("variant", mcfg.variant)
+    targets = getattr(args, "target", None) or file_cfg.get("target", "valence")
+    variants, targets = _names(variants, "variant"), _names(targets, "target")
 
     return RunConfig(fspec, sspec, mcfg, tcfg, dataset, out_dir, variants, targets, seed, jobs)
 
@@ -102,7 +110,7 @@ def cmd_synth(args) -> int:
         trials_per_subject=args.trials,
         duration_s=args.duration,
         fs_hz=args.fs,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     dataset = data_io.synth_dataset(spec)
     out = Path(args.out)
@@ -169,7 +177,9 @@ def cmd_train(args) -> int:
         raise ConfigError("train needs --dataset (or 'dataset' in the config file)")
     if len(cfg.variants) != 1 or len(cfg.targets) != 1:
         raise ConfigError("train runs exactly one variant and one target")
-    configs, (target,) = ev.check_run(cfg.model, cfg.segmenter, cfg.variants, cfg.targets)
+    configs, (target,) = ev.check_run(
+        cfg.model, cfg.filter, cfg.segmenter, cfg.variants, cfg.targets
+    )
     mcfg = configs[cfg.variants[0]]
     dataset = data_io.load_canonical(cfg.dataset)
     out = Path(cfg.out_dir)
@@ -208,7 +218,7 @@ def cmd_loso(args) -> int:
     cfg = resolve_run_config(args)
     if not cfg.dataset:
         raise ConfigError("loso needs --dataset (or 'dataset' in the config file)")
-    ev.check_run(cfg.model, cfg.segmenter, cfg.variants, cfg.targets)
+    ev.check_run(cfg.model, cfg.filter, cfg.segmenter, cfg.variants, cfg.targets)
     dataset = data_io.load_canonical(cfg.dataset)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -248,7 +258,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_suite(cases_per_layer=args.cases, seed=args.seed if args.seed is not None else 0)
+    results = run_suite(cases_per_layer=args.cases, seed=args.seed)
     failed = False
     for r in results:
         status = "ok" if r.ok else "FAIL"
@@ -268,12 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
         for name, kind in TRAIN_FLAGS.items():
             p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, default=None)
 
-    def common(p, dataset=True):
+    def common(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        if dataset:
-            p.add_argument("--dataset", help="canonical dataset directory")
+        p.add_argument("--dataset", help="canonical dataset directory")
 
     p = sub.add_parser("synth", help="generate a synthetic canonical dataset")
     p.add_argument("--out", required=True)
@@ -319,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--cases", type=int, default=20, help="random cases per layer family")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

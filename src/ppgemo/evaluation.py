@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, DataError, MetricUndefinedError, ShapeError, StateError
+from .errors import ConfigError, DataError, MetricUndefinedError, ShapeError
 from .models import Model, ModelConfig, build
 from .signals import FilterSpec, Segment, SegmenterSpec, preprocess_record
 from .training import (
@@ -72,10 +72,7 @@ def loso_folds(subject_ids) -> list[tuple[list[str], str]]:
     subjects = sorted(set(subject_ids))
     if len(subjects) < 2:
         raise DataError(f"need at least 2 distinct subjects, got {len(subjects)}")
-    folds = [([s for s in subjects if s != test], test) for test in subjects]
-    if len({test for _, test in folds}) != len(folds):  # pragma: no cover
-        raise StateError("duplicate test subjects across folds")
-    return folds
+    return [([s for s in subjects if s != test], test) for test in subjects]
 
 
 def _paired(preds, labels):
@@ -344,12 +341,19 @@ def fit_model(
     return model, train(model, fit_segs, val_segs, train_config, seed, target)
 
 
-def check_run(model_config: ModelConfig, sspec: SegmenterSpec, variants, targets):
-    """Check every variant and target, and the model's input length against
-    the window, before a run loads or preprocesses anything. Returns the
-    model config of each variant and the targets, each name once."""
+def check_run(
+    model_config: ModelConfig, fspec: FilterSpec, sspec: SegmenterSpec, variants, targets
+):
+    """Check every variant and target, the filter's sampling rate against
+    the segmenter's, and the model's input length against the window,
+    before a run loads or preprocesses anything. Returns the model config
+    of each variant and the targets, each name once."""
     model_configs = {v: replace(model_config, variant=v) for v in variants}
     targets = [check_target(t) for t in dict.fromkeys(targets)]
+    if fspec.fs_hz != sspec.fs_hz:
+        raise ConfigError(
+            f"filter fs_hz {fspec.fs_hz} does not match the segmenter's fs_hz {sspec.fs_hz}"
+        )
     if model_config.input_len != sspec.window_samples:
         raise ConfigError(
             f"model input_len {model_config.input_len} does not match the "
@@ -371,16 +375,17 @@ def run_loso(
 ) -> list[FoldRun]:
     """Full LOSO loop over every (variant, target, fold).
 
-    Every variant and target, and the model's input length, is checked
-    before any work starts, and the dataset is preprocessed once. Each fold
-    trains a fresh model on the other subjects (with a subject-grouped
-    validation split for early stopping) and evaluates on the held-out
-    subject; `jobs` tasks run at once, across variants and targets. Fold
-    RNGs depend only on (seed, fold, target), so a variant's results do not
-    depend on `jobs` or on the other variants. A repeated name runs once.
+    Every variant and target, the sampling rates and the model's input
+    length are checked before any work starts, and the dataset is
+    preprocessed once. Each fold trains a fresh model on the other subjects
+    (with a subject-grouped validation split for early stopping) and
+    evaluates on the held-out subject; `jobs` tasks run at once, across
+    variants and targets. Fold RNGs depend only on (seed, fold, target), so
+    a variant's results do not depend on `jobs` or on the other variants. A
+    repeated name runs once.
     Returns the runs in (variant, target, fold) order.
     """
-    model_configs, targets = check_run(model_config, sspec, variants, targets)
+    model_configs, targets = check_run(model_config, fspec, sspec, variants, targets)
     by_subject = segments_by_subject(dataset.records, fspec, sspec)
     if not by_subject:
         raise DataError("dataset produced no segments")

@@ -140,9 +140,17 @@ class Model:
         live = {**self.params(), **self.buffers()}
         if set(snap) != set(live):
             raise ConfigError(
-                f"snapshot keys do not match this model "
-                f"(missing {sorted(set(live) - set(snap))[:3]}...)"
+                f"snapshot keys do not match this model: missing "
+                f"{sorted(set(live) - set(snap))}, unexpected {sorted(set(snap) - set(live))}"
             )
+        # every shape is checked before any array is written, so a rejected
+        # snapshot leaves the model as it was
+        for k, arr in live.items():
+            if np.shape(snap[k]) != arr.shape:
+                raise ConfigError(
+                    f"snapshot array {k} has shape {np.shape(snap[k])}, this model's has "
+                    f"{arr.shape}"
+                )
         for k, arr in live.items():
             arr[...] = snap[k]
 

@@ -63,7 +63,9 @@ class TrainLog:
     """Per-epoch curves plus the stopping bookkeeping.
 
     train_acc and val_acc are measured in infer mode after each epoch;
-    train_loss is the epoch-mean optimization loss. Epochs are 1-based.
+    train_loss is the epoch-mean optimization loss. Epochs are 1-based;
+    best_epoch is the epoch whose parameters train() restores and
+    stop_epoch the last epoch that ran.
     """
 
     train_loss: list[float] = field(default_factory=list)
@@ -93,27 +95,6 @@ class TrainLog:
             }
         )
         return rows
-
-
-class EarlyStopper:
-    """Stop after `patience` consecutive epochs without a strictly better
-    validation accuracy; ties do not reset the counter."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = -math.inf
-        self.best_epoch = 0
-        self.bad = 0
-
-    def update(self, epoch: int, val_acc: float) -> bool:
-        """Returns True when training should stop after this epoch."""
-        if val_acc > self.best:
-            self.best = val_acc
-            self.best_epoch = epoch
-            self.bad = 0
-            return False
-        self.bad += 1
-        return self.bad >= self.patience
 
 
 def compute_class_weights(labels) -> np.ndarray:
@@ -221,8 +202,10 @@ def train(model, train_segments, val_segments, config: TrainConfig, seed: int, t
     """Optimize `model` in place to predict `target` and return its TrainLog.
 
     Shuffled mini-batches (the last partial batch is kept), validation
-    accuracy in infer mode after every epoch, early stopping on strict
-    improvement, best-epoch parameters restored before returning.
+    accuracy in infer mode after every epoch, best-epoch parameters
+    restored before returning. An epoch improves when its val_acc is
+    strictly above every earlier epoch's, so ties do not reset patience;
+    training stops once `patience` epochs have passed since the best one.
     """
     if not train_segments:
         raise DataError("empty training set")
@@ -239,12 +222,10 @@ def train(model, train_segments, val_segments, config: TrainConfig, seed: int, t
 
     params = model.params()
     state = AdamState(params)
-    stopper = EarlyStopper(config.patience)
     log = TrainLog(class_weights=fold_weights.tolist())
     best_snap = None
     n = y.size
 
-    stop_epoch = config.max_epochs
     for epoch in range(1, config.max_epochs + 1):
         order = np.random.default_rng([seed, epoch]).permutation(n)
         drop_rng = np.random.default_rng([seed, epoch, 1])
@@ -258,15 +239,13 @@ def train(model, train_segments, val_segments, config: TrainConfig, seed: int, t
         log.train_loss.append(total / n)
         log.train_acc.append(float((predict_proba(model, x).argmax(axis=1) == y).mean()))
         val_acc = float((predict_proba(model, xv).argmax(axis=1) == yv).mean())
-        log.val_acc.append(val_acc)
-        should_stop = stopper.update(epoch, val_acc)
-        if stopper.best_epoch == epoch:
+        if val_acc > max(log.val_acc, default=-math.inf):
+            log.best_epoch = epoch
             best_snap = model.snapshot()
-        if should_stop:
-            stop_epoch = epoch
+        log.val_acc.append(val_acc)
+        log.stop_epoch = epoch
+        if epoch - log.best_epoch >= config.patience:
             break
 
-    log.best_epoch = stopper.best_epoch
-    log.stop_epoch = stop_epoch
     model.restore(best_snap)
     return log

@@ -322,28 +322,62 @@ def test_loso_echo_keeps_seed_and_target_out_of_train(synth_dir, config_file, tm
     assert (echoed["seed"], echoed["targets"]) == (9, ["arousal"])
 
 
+BAD_RUNS = [
+    ("loso", "joy", 60.0, 10.0, "target must be one of"),
+    ("train", "joy", 60.0, 10.0, "target must be one of"),
+    ("loso", "valence", 30.0, 10.0, "input_len 600 does not match the 300-sample window"),
+    ("train", "valence", 30.0, 10.0, "input_len 600 does not match the 300-sample window"),
+    ("loso", "valence", 60.0, 20.0, "filter fs_hz 20.0 does not match the segmenter's fs_hz 10.0"),
+    ("train", "valence", 60.0, 20.0, "filter fs_hz 20.0 does not match the segmenter's fs_hz 10.0"),
+]
+
+
 @pytest.mark.parametrize(
-    "command, target, window_s, message",
-    [
-        ("loso", "joy", 60.0, "target must be one of"),
-        ("train", "joy", 60.0, "target must be one of"),
-        ("loso", "valence", 30.0, "input_len 600 does not match the 300-sample window"),
-        ("train", "valence", 30.0, "input_len 600 does not match the 300-sample window"),
-    ],
+    "command, target, window_s, filter_hz, message",
+    BAD_RUNS,
+    # the message names the filter rate, so the id leaves it out
+    ids=[f"{c}-{t}-{w}-{m}" for c, t, w, _, m in BAD_RUNS],
 )
 def test_bad_run_fails_before_preprocessing(
-    synth_dir, tmp_path, monkeypatch, capsys, command, target, window_s, message
+    synth_dir, tmp_path, monkeypatch, capsys, command, target, window_s, filter_hz, message
 ):
     calls = []
     monkeypatch.setattr(evaluation, "preprocess_record", lambda *args: calls.append(args))
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({**CONFIG, "segmenter": {**CONFIG["segmenter"], "window_s": window_s}}))
+    path.write_text(json.dumps({
+        **CONFIG,
+        "filter": {**CONFIG["filter"], "fs_hz": filter_hz},
+        "segmenter": {**CONFIG["segmenter"], "window_s": window_s},
+    }))
     argv = [command, "--dataset", str(synth_dir), "--out", str(tmp_path / "out"), "--config",
             str(path), "--variant", "cnn", "--target", target]
     assert main(argv) == 1
     assert message in capsys.readouterr().err
     assert not calls
     # nothing, not even a run_config.json, records a run that never started
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, file_values, message",
+    [
+        (["--jobs", "-3"], {}, "jobs must be an integer >= 1, got -3"),
+        (["--jobs", "0"], {}, "jobs must be an integer >= 1, got 0"),
+        ([], {"jobs": "2"}, "jobs must be an integer >= 1, got '2'"),
+        ([], {"seed": "abc"}, "seed must be an integer, got 'abc'"),
+        ([], {"variant": ["cnn"]}, "'variant' must be a comma-separated string, got ['cnn']"),
+        ([], {"target": ["valence"]}, "'target' must be a comma-separated string"),
+    ],
+)
+def test_bad_run_setting_fails_before_anything_is_written(
+    synth_dir, tmp_path, capsys, flags, file_values, message
+):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**CONFIG, **file_values}))
+    argv = ["loso", "--dataset", str(synth_dir), "--out", str(tmp_path / "out"), "--config",
+            str(path), *flags]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

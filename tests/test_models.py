@@ -275,6 +275,37 @@ def test_restore_carries_seen_batch(rng):
         model.forward(rng.standard_normal((1, 240, 1)), "infer")
 
 
+def _drop_conv1_bias(manifest):
+    del manifest["params"]["trunk.conv1.b"]
+
+
+def _add_bn3_flag(manifest):
+    manifest["buffers"]["trunk.bn3.seen_batch"] = {"shape": [], "data": [1.0]}
+
+
+def _one_conv1_bias(manifest):
+    # one value would broadcast into every bias
+    manifest["params"]["trunk.conv1.b"] = {"shape": [1], "data": [0.5]}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_conv1_bias, r"missing \['trunk.conv1.b'\], unexpected \[\]"),
+        (_add_bn3_flag, r"missing \[\], unexpected \['trunk.bn3.seen_batch'\]"),
+        (_one_conv1_bias, r"trunk.conv1.b has shape \(1,\), this model's has \(4,\)"),
+    ],
+)
+def test_load_rejects_arrays_that_do_not_fit(edit, message, rng, tmp_path):
+    path = tmp_path / "model.json"
+    build(SMALL, rng).save(path)
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match=message):
+        Model.load(path)
+
+
 def _v1_fixture():
     """A SMALL model saved in format ppgemo-model/1 after one training
     batch, and its infer probabilities for a seeded input."""

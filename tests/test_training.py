@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from ppgemo import training
 from ppgemo.errors import ConfigError, DataError
 from ppgemo.models import ConvStage, ModelConfig, build
 from ppgemo.nn import TcnSpec
 from ppgemo.signals import Segment
 from ppgemo.training import (
     AdamState,
-    EarlyStopper,
     TrainConfig,
     adam_step,
     compute_class_weights,
@@ -117,26 +117,52 @@ class TestAdam:
             assert params["p"][0] < before
 
 
-class TestEarlyStopper:
-    def test_spec_sequence(self):
+class TestEarlyStopping:
+    """train()'s stopping rule, run on scripted validation accuracies."""
+
+    def _train(self, monkeypatch, val_accs, patience, max_epochs):
+        # 20 validation windows, so every scripted accuracy is a whole count
+        segments = two_tone_segments(["a", "b"])
+        val_segments = two_tone_segments(["d"], per_subject=20, rng_seed=99)
+        _, yv = segments_to_arrays(val_segments, "valence")
+        calls = []
+        seen = []  # the model's state at each epoch's validation pass
+
+        def scripted(model, x, batch_size=256):
+            calls.append(x.shape[0])
+            if len(calls) % 2:  # each epoch's first call scores the training set
+                return np.full((x.shape[0], 2), 0.5)
+            seen.append(model.snapshot())
+            wrong = round((1.0 - val_accs[len(seen) - 1]) * yv.size)
+            preds = np.where(np.arange(yv.size) < wrong, 1 - yv, yv)
+            return np.eye(2)[preds]
+
+        monkeypatch.setattr(training, "predict_proba", scripted)
+        model = build(TINY_MODEL, np.random.default_rng(0))
+        cfg = TrainConfig(batch_size=16, max_epochs=max_epochs, patience=patience)
+        log = train(model, segments, val_segments, cfg, 0, "valence")
+        assert log.val_acc == val_accs[: log.stop_epoch]
+        restored = model.snapshot()
+        for epoch, snap in enumerate(seen, 1):
+            same = all(np.array_equal(restored[k], snap[k]) for k in snap)
+            assert same == (epoch == log.best_epoch), epoch
+        return log
+
+    def test_spec_sequence(self, monkeypatch):
         # val accs 0.5, 0.6, 0.6, 0.6, 0.6 with patience 3: best is epoch 2,
-        # stop fires after the third non-improving epoch (epoch 5)
-        stopper = EarlyStopper(patience=3)
-        stops = [stopper.update(e, v) for e, v in enumerate([0.5, 0.6, 0.6, 0.6, 0.6], 1)]
-        assert stops == [False, False, False, False, True]
-        assert stopper.best_epoch == 2
+        # training stops after the third non-improving epoch (epoch 5)
+        log = self._train(monkeypatch, [0.5, 0.6, 0.6, 0.6, 0.6], patience=3, max_epochs=10)
+        assert (log.best_epoch, log.stop_epoch) == (2, 5)
 
-    def test_ties_do_not_reset(self):
-        stopper = EarlyStopper(patience=2)
-        assert not stopper.update(1, 0.7)
-        assert not stopper.update(2, 0.7)
-        assert stopper.update(3, 0.7)
+    def test_ties_do_not_reset(self, monkeypatch):
+        # the restored parameters are epoch 1's, not a later tie's
+        log = self._train(monkeypatch, [0.7, 0.7, 0.7], patience=2, max_epochs=10)
+        assert (log.best_epoch, log.stop_epoch) == (1, 3)
 
-    def test_improvement_resets(self):
-        stopper = EarlyStopper(patience=2)
-        for epoch, v in enumerate([0.5, 0.4, 0.6, 0.55], 1):
-            assert not stopper.update(epoch, v)
-        assert stopper.best_epoch == 3
+    def test_improvement_resets(self, monkeypatch):
+        # without the reset at epoch 3, patience 2 would stop there
+        log = self._train(monkeypatch, [0.5, 0.4, 0.6, 0.55], patience=2, max_epochs=4)
+        assert (log.best_epoch, log.stop_epoch) == (3, 4)
 
 
 class TestValidationSplit:
