@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as data_io
 from . import evaluation as ev
-from .errors import ConfigError, PpgEmoError
+from .errors import ConfigError, PpgEmoError, check_count
 from .models import ModelConfig, model_config_from_dict, model_config_to_dict
 from .nn.gradcheck import run_suite
 from .signals import FilterSpec, SegmenterSpec, preprocess_record
@@ -37,7 +37,7 @@ class RunConfig:
     segmenter: SegmenterSpec
     model: ModelConfig
     train: TrainConfig
-    dataset: str | None
+    dataset: str
     out_dir: str
     variants: tuple[str, ...]
     targets: tuple[str, ...]
@@ -47,8 +47,11 @@ class RunConfig:
     def __post_init__(self):
         if type(self.seed) is not int:  # not isinstance: a bool is an int too
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if type(self.jobs) is not int or self.jobs < 1:
-            raise ConfigError(f"jobs must be an integer >= 1, got {self.jobs!r}")
+        check_count("jobs", self.jobs)
+        # checked here, where both specs meet, so every command checks it
+        f, s = self.filter.fs_hz, self.segmenter.fs_hz
+        if f != s:
+            raise ConfigError(f"filter fs_hz {f} does not match the segmenter's fs_hz {s}")
 
 
 def _make(cls, d: dict, section: str):
@@ -69,10 +72,15 @@ def resolve_run_config(args) -> RunConfig:
     file_cfg = {}
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        with open(path) as fh:
-            file_cfg = json.load(fh)
+        try:
+            file_cfg = json.loads(path.read_text())
+        except (OSError, ValueError) as exc:  # missing, unreadable, or not JSON
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
+        for name in ("filter", "segmenter", "model", "train"):
+            if not isinstance(file_cfg.get(name, {}), dict):
+                raise ConfigError(f"'{name}' section in config file {path} must be an object")
 
     fspec = _make(FilterSpec, file_cfg.get("filter", {}), "filter")
     sspec = _make(SegmenterSpec, file_cfg.get("segmenter", {}), "segmenter")
@@ -88,6 +96,8 @@ def resolve_run_config(args) -> RunConfig:
     jobs = getattr(args, "jobs", None)
     jobs = file_cfg.get("jobs", 1) if jobs is None else jobs
     dataset = getattr(args, "dataset", None) or file_cfg.get("dataset")
+    if not dataset:
+        raise ConfigError(f"{args.command} needs --dataset (or 'dataset' in the config file)")
     out_dir = getattr(args, "out", None) or file_cfg.get("out_dir", "out")
     variants = getattr(args, "variant", None) or file_cfg.get("variant", mcfg.variant)
     targets = getattr(args, "target", None) or file_cfg.get("target", "valence")
@@ -131,8 +141,6 @@ def cmd_import_ppge(args) -> int:
 
 def cmd_preprocess(args) -> int:
     cfg = resolve_run_config(args)
-    if not cfg.dataset:
-        raise ConfigError("preprocess needs --dataset (or 'dataset' in the config file)")
     dataset = data_io.load_canonical(cfg.dataset)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -173,19 +181,16 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = resolve_run_config(args)
-    if not cfg.dataset:
-        raise ConfigError("train needs --dataset (or 'dataset' in the config file)")
     if len(cfg.variants) != 1 or len(cfg.targets) != 1:
         raise ConfigError("train runs exactly one variant and one target")
-    configs, (target,) = ev.check_run(
-        cfg.model, cfg.filter, cfg.segmenter, cfg.variants, cfg.targets
-    )
+    configs, (target,) = ev.check_run(cfg.model, cfg.segmenter, cfg.variants, cfg.targets)
     mcfg = configs[cfg.variants[0]]
     dataset = data_io.load_canonical(cfg.dataset)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     excluded = set(args.exclude_subjects.split(",")) if args.exclude_subjects else set()
+    unknown = excluded - set(dataset.subjects)
+    if unknown:
+        raise ConfigError(f"--exclude-subjects not in dataset: {sorted(unknown)}")
+
     records = [r for r in dataset.records if r.subject_id not in excluded]
     by_subject = ev.segments_by_subject(records, cfg.filter, cfg.segmenter)
     subjects = sorted(by_subject)
@@ -199,6 +204,8 @@ def cmd_train(args) -> int:
             raise ConfigError("no training subjects left after the validation split")
     else:
         fit, val = make_validation_split(subjects, cfg.train, cfg.seed)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     model, tlog = ev.fit_model(by_subject, fit, val, mcfg, cfg.train, cfg.seed, target)
 
@@ -216,9 +223,7 @@ def cmd_train(args) -> int:
 
 def cmd_loso(args) -> int:
     cfg = resolve_run_config(args)
-    if not cfg.dataset:
-        raise ConfigError("loso needs --dataset (or 'dataset' in the config file)")
-    ev.check_run(cfg.model, cfg.filter, cfg.segmenter, cfg.variants, cfg.targets)
+    ev.check_run(cfg.model, cfg.segmenter, cfg.variants, cfg.targets)
     dataset = data_io.load_canonical(cfg.dataset)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_count
 
 log = logging.getLogger(__name__)
 
@@ -90,13 +90,6 @@ class Dataset:
     def subjects(self) -> list[str]:
         return sorted({r.subject_id for r in self.records})
 
-    @property
-    def fs_hz(self) -> float:
-        rates = {r.fs_hz for r in self.records}
-        if len(rates) != 1:
-            raise DataError(f"dataset mixes sampling rates: {sorted(rates)}")
-        return rates.pop()
-
 
 # -- canonical format ------------------------------------------------------------
 
@@ -156,7 +149,6 @@ def load_canonical(path) -> Dataset:
     if not manifest.exists():
         raise DataError(f"missing manifest file {manifest}")
     records = []
-    seen = set()
     with open(manifest, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(MANIFEST_COLUMNS) - set(reader.fieldnames or ())
@@ -178,9 +170,6 @@ def load_canonical(path) -> Dataset:
                         f"(canonical labels are binary; import converts ratings)"
                     )
                 labels[field] = int(row[field])
-            if (subject, trial) in seen:
-                raise DataError(f"{where}: duplicate (subject, trial) = ({subject}, {trial})")
-            seen.add((subject, trial))
             samples = _read_signal(root / row["signal_file"])
             try:
                 records.append(PpgRecord(subject, trial, fs, samples, **labels))
@@ -306,11 +295,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_subjects < 1 or self.trials_per_subject < 1:
-            raise ConfigError(
-                f"n_subjects and trials_per_subject must be >= 1, got "
-                f"{self.n_subjects} and {self.trials_per_subject}"
-            )
+        check_count("n_subjects", self.n_subjects)
+        check_count("trials_per_subject", self.trials_per_subject)
         if self.fs_hz <= 0:
             raise ConfigError(f"fs_hz must be positive, got {self.fs_hz}")
         if self.duration_s < MIN_SYNTH_WINDOW_S:

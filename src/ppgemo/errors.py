@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one count check."""
+
+import numbers
 
 
 class PpgEmoError(Exception):
@@ -27,3 +29,9 @@ class StateError(PpgEmoError):
 
 class MetricUndefinedError(PpgEmoError):
     """Metric has no defined value for the given inputs, e.g. single-class AUC."""
+
+
+def check_count(name: str, value) -> None:
+    """Reject anything but an integer >= 1: a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")

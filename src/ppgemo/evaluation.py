@@ -239,9 +239,13 @@ def save_reports(reports: dict[str, EvalReport], path) -> None:
 
 
 def load_reports(path) -> dict[str, EvalReport]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return {v: report_from_dict(d) for v, d in payload.items()}
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        return {v: report_from_dict(d) for v, d in payload.items()}
+    # unreadable, not JSON, or not the layout save_reports writes
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"cannot read report file {path}: {type(exc).__name__}: {exc}") from None
 
 
 def _table_rows(reports: dict[str, EvalReport]):
@@ -341,19 +345,12 @@ def fit_model(
     return model, train(model, fit_segs, val_segs, train_config, seed, target)
 
 
-def check_run(
-    model_config: ModelConfig, fspec: FilterSpec, sspec: SegmenterSpec, variants, targets
-):
-    """Check every variant and target, the filter's sampling rate against
-    the segmenter's, and the model's input length against the window,
-    before a run loads or preprocesses anything. Returns the model config
-    of each variant and the targets, each name once."""
+def check_run(model_config: ModelConfig, sspec: SegmenterSpec, variants, targets):
+    """Check every variant and target, and the model's input length against
+    the window, before a run loads or preprocesses anything. Returns the
+    model config of each variant and the targets, each name once."""
     model_configs = {v: replace(model_config, variant=v) for v in variants}
     targets = [check_target(t) for t in dict.fromkeys(targets)]
-    if fspec.fs_hz != sspec.fs_hz:
-        raise ConfigError(
-            f"filter fs_hz {fspec.fs_hz} does not match the segmenter's fs_hz {sspec.fs_hz}"
-        )
     if model_config.input_len != sspec.window_samples:
         raise ConfigError(
             f"model input_len {model_config.input_len} does not match the "
@@ -375,17 +372,17 @@ def run_loso(
 ) -> list[FoldRun]:
     """Full LOSO loop over every (variant, target, fold).
 
-    Every variant and target, the sampling rates and the model's input
-    length are checked before any work starts, and the dataset is
-    preprocessed once. Each fold trains a fresh model on the other subjects
-    (with a subject-grouped validation split for early stopping) and
-    evaluates on the held-out subject; `jobs` tasks run at once, across
-    variants and targets. Fold RNGs depend only on (seed, fold, target), so
-    a variant's results do not depend on `jobs` or on the other variants. A
-    repeated name runs once.
+    Every variant and target and the model's input length are checked
+    before any work starts (a filter rate unlike the segmenter's fails at
+    the first record), and the dataset is preprocessed once. Each fold
+    trains a fresh model on the other subjects (with a subject-grouped
+    validation split for early stopping) and evaluates on the held-out
+    subject; `jobs` tasks run at once, across variants and targets. Fold
+    RNGs depend only on (seed, fold, target), so a variant's results do
+    not depend on `jobs` or on the other variants; a repeated name runs once.
     Returns the runs in (variant, target, fold) order.
     """
-    model_configs, targets = check_run(model_config, fspec, sspec, variants, targets)
+    model_configs, targets = check_run(model_config, sspec, variants, targets)
     by_subject = segments_by_subject(dataset.records, fspec, sspec)
     if not by_subject:
         raise DataError("dataset produced no segments")

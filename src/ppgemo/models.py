@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_count
 from .nn.layers import (
     BatchNorm1d,
     Conv1d,
@@ -44,8 +44,8 @@ class ConvStage:
     stride: int
 
     def __post_init__(self):
-        if min(self.filters, self.kernel_size, self.stride) < 1:
-            raise ConfigError(f"conv stage fields must be >= 1, got {self}")
+        for name in ("filters", "kernel_size", "stride"):
+            check_count(f"conv stage {name}", getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.input_len < 1:
-            raise ConfigError(f"input_len must be >= 1, got {self.input_len}")
-        if self.pool_size < 1:
-            raise ConfigError(f"pool_size must be >= 1, got {self.pool_size}")
+        for name in ("input_len", "pool_size", "lstm_units"):
+            check_count(name, getattr(self, name))
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.lstm_units < 1:
-            raise ConfigError(f"lstm_units must be >= 1, got {self.lstm_units}")
 
 
 def model_config_to_dict(config: ModelConfig) -> dict:

@@ -119,10 +119,13 @@ def _layer_case(layer, x, loss_rng_seed=None):
     return Case(arrays, loss, analytic, layer.kink_margin())
 
 
+def _btc(rng, t, b=(1, 4), c=(1, 5)):
+    """Draw (batch, time, channels), in that order, each from its [low, high)."""
+    return tuple(int(rng.integers(*bounds)) for bounds in (b, t, c))
+
+
 def _case_conv(rng, padding):
-    b = int(rng.integers(1, 4))
-    t = int(rng.integers(4, 17))
-    cin = int(rng.integers(1, 5))
+    b, t, cin = _btc(rng, (4, 17))
     f = int(rng.integers(1, 5))
     k = int(rng.integers(1, min(t, 5) + 1))
     stride = int(rng.integers(1, 4)) if padding == "same" else 1
@@ -133,9 +136,7 @@ def _case_conv(rng, padding):
 
 
 def _case_maxpool(rng):
-    b = int(rng.integers(1, 4))
-    t = int(rng.integers(3, 17))
-    c = int(rng.integers(1, 5))
+    b, t, c = _btc(rng, (3, 17))
     pool = int(rng.integers(1, min(t, 4) + 1))
     layer = MaxPool1d(pool)
     x = rng.standard_normal((b, t, c))
@@ -143,17 +144,13 @@ def _case_maxpool(rng):
 
 
 def _case_global_maxpool(rng):
-    b = int(rng.integers(1, 4))
-    t = int(rng.integers(2, 17))
-    c = int(rng.integers(1, 5))
+    b, t, c = _btc(rng, (2, 17))
     x = rng.standard_normal((b, t, c))
     return _layer_case(GlobalMaxPool(), x)
 
 
 def _case_batchnorm(rng):
-    b = int(rng.integers(2, 4))
-    t = int(rng.integers(2, 17))
-    c = int(rng.integers(1, 5))
+    b, t, c = _btc(rng, (2, 17), b=(2, 4))
     layer = BatchNorm1d(c)
     layer.params["gamma"][:] = rng.normal(1.0, 0.3, c)
     layer.params["beta"][:] = rng.normal(0.0, 0.3, c)
@@ -162,18 +159,14 @@ def _case_batchnorm(rng):
 
 
 def _case_dropout(rng):
-    b = int(rng.integers(1, 4))
-    t = int(rng.integers(1, 17))
-    c = int(rng.integers(1, 5))
+    b, t, c = _btc(rng, (1, 17))
     layer = Dropout(float(rng.uniform(0.0, 0.7)))
     x = rng.standard_normal((b, t, c))
     return _layer_case(layer, x, loss_rng_seed=int(rng.integers(2**31)))
 
 
 def _case_lstm(rng):
-    b = int(rng.integers(1, 4))
-    t = int(rng.integers(1, 9))
-    cin = int(rng.integers(1, 5))
+    b, t, cin = _btc(rng, (1, 9))
     units = int(rng.integers(1, 5))
     layer = Lstm(cin, units, rng)
     x = rng.standard_normal((b, t, cin))
@@ -181,9 +174,7 @@ def _case_lstm(rng):
 
 
 def _case_tcn(rng):
-    b = int(rng.integers(1, 3))
-    t = int(rng.integers(4, 13))
-    cin = int(rng.integers(1, 4))
+    b, t, cin = _btc(rng, (4, 13), b=(1, 3), c=(1, 4))
     spec = TcnSpec(
         filters=int(rng.integers(1, 4)),
         kernel_size=int(rng.integers(2, 4)),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import ConfigError, ShapeError, StateError
+from ..errors import ConfigError, ShapeError, StateError, check_count
 
 MODES = ("train", "infer")
 PADDINGS = ("same", "causal")
@@ -151,12 +151,8 @@ class Conv1dSpec:
     activation: str = "none"
 
     def __post_init__(self):
-        if self.filters < 1:
-            raise ConfigError(f"filters must be >= 1, got {self.filters}")
-        if self.kernel_size < 1:
-            raise ConfigError(f"kernel_size must be >= 1, got {self.kernel_size}")
-        if self.stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {self.stride}")
+        for name in ("filters", "kernel_size", "stride"):
+            check_count(name, getattr(self, name))
         if self.padding not in PADDINGS:
             raise ConfigError(f"padding must be one of {PADDINGS}, got {self.padding!r}")
         if self.activation not in CONV_ACTIVATIONS:
@@ -298,8 +294,7 @@ class MaxPool1d(Layer):
 
     def __init__(self, pool_size: int):
         super().__init__()
-        if pool_size < 1:
-            raise ConfigError(f"pool_size must be >= 1, got {pool_size}")
+        check_count("pool_size", pool_size)
         self.pool = pool_size
 
     def _windows(self, a):
@@ -368,15 +363,12 @@ class BatchNorm1d(Layer):
         super().__init__()
         self.channels = channels
         self.params = {"gamma": np.ones(channels), "beta": np.zeros(channels)}
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
-        # 1.0 once a training batch has been seen; a buffer, so snapshots,
-        # restores and saved models carry it with the running stats
-        self.seen_batch = np.zeros(())
+        # seen_batch is 1.0 once a training batch has been seen; a buffer, so
+        # snapshots, restores and saved models carry it with the running stats
         self.buffers = {
-            "running_mean": self.running_mean,
-            "running_var": self.running_var,
-            "seen_batch": self.seen_batch,
+            "running_mean": np.zeros(channels),
+            "running_var": np.ones(channels),
+            "seen_batch": np.zeros(()),
         }
 
     def forward(self, x, mode="train", rng=None):
@@ -386,6 +378,7 @@ class BatchNorm1d(Layer):
             raise ShapeError(
                 f"batchnorm expected [batch, time, {self.channels}], got {x.shape}"
             )
+        buf = self.buffers
         if mode == "train":
             mean = x.mean(axis=(0, 1))
             var = x.var(axis=(0, 1))
@@ -393,18 +386,18 @@ class BatchNorm1d(Layer):
             # the first batch seeds the running stats outright, otherwise
             # inference is biased toward the arbitrary 0/1 init for the
             # first ~1/(1-momentum) updates
-            m = BN_MOMENTUM if self.seen_batch else 0.0
-            self.running_mean *= m
-            self.running_mean += (1.0 - m) * mean
-            self.running_var *= m
-            self.running_var += (1.0 - m) * var
-            self.seen_batch[...] = 1.0
+            m = BN_MOMENTUM if buf["seen_batch"] else 0.0
+            buf["running_mean"] *= m
+            buf["running_mean"] += (1.0 - m) * mean
+            buf["running_var"] *= m
+            buf["running_var"] += (1.0 - m) * var
+            buf["seen_batch"][...] = 1.0
         else:
-            if not self.seen_batch:
+            if not buf["seen_batch"]:
                 raise StateError(
                     "batchnorm inference requested before any training batch"
                 )
-            mean, var = self.running_mean, self.running_var
+            mean, var = buf["running_mean"], buf["running_var"]
         inv = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat = (x - mean) * inv
         out = self.params["gamma"] * xhat + self.params["beta"]

@@ -18,15 +18,14 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ShapeError, check_count
 from .layers import Layer, _check_mode, glorot_uniform
 
 
 class Lstm(Layer):
     def __init__(self, in_features: int, units: int, rng: np.random.Generator):
         super().__init__()
-        if units < 1:
-            raise ConfigError(f"units must be >= 1, got {units}")
+        check_count("units", units)
         self.in_features = in_features
         self.units = units
         u = units

@@ -15,9 +15,6 @@ block reads: every (d_next/d)-th one, ending at T-1; the last block keeps
 T-1 alone. Train-mode dropout draws each mask at [batch, T, F], in the
 order of a full-sequence pass, and keeps the rows in use, so a seeded run
 draws the same masks either way.
-
-`forward_sequence` evaluates every step, in infer mode: a block of
-dilation d runs once per phase p < d, on the steps p, p + d, ...
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError, ShapeError, check_count
 from .layers import Conv1d, Conv1dSpec, Dropout, Layer, _check_mode
 
 
@@ -38,14 +35,12 @@ class TcnSpec:
     dropout_rate: float = 0.3
 
     def __post_init__(self):
-        if self.filters < 1:
-            raise ConfigError(f"filters must be >= 1, got {self.filters}")
-        if self.kernel_size < 1:
-            raise ConfigError(f"kernel_size must be >= 1, got {self.kernel_size}")
+        check_count("filters", self.filters)
+        check_count("kernel_size", self.kernel_size)
         if not self.dilations:
             raise ConfigError("dilations must be non-empty")
-        if any(d < 1 for d in self.dilations):
-            raise ConfigError(f"dilations must be >= 1, got {self.dilations}")
+        for i, d in enumerate(self.dilations):
+            check_count(f"dilations[{i}]", d)
         if any(b % a for a, b in zip(self.dilations, self.dilations[1:])):
             raise ConfigError(
                 f"dilations must be ascending, each dividing the next, got {self.dilations}"
@@ -161,23 +156,13 @@ class Tcn(Layer):
 
     def forward_sequence(self, x, mode="infer"):
         """Full-sequence output [batch, time, filters], before the final
-        time step is selected. Infer mode only; records no tape. A block of
-        dilation d runs once per phase p < d, on the steps p, p + d, ...,
-        which it sees as an undilated sequence."""
+        time step is selected. Infer mode only; records no tape. Step t's
+        output is `forward` on the steps 0..t, so this costs one forward
+        per step."""
         if mode != "infer":
             raise ConfigError(f"forward_sequence runs in infer mode only, got {mode!r}")
-        h = self._checked(x)
-        z = None
-        for block, d in zip(self.blocks, self.spec.dilations):
-            out = np.empty(h.shape[:2] + (self.spec.filters,))
-            for p in range(min(d, h.shape[1])):
-                hp = h[:, p::d]
-                out[:, p::d] = block.forward(hp, "infer", None, hp.shape[1], 1, 1)
-            h = out
-            z = h if z is None else z + h
-        # the blocks ran in infer mode and dropped their tapes; drop ours too
-        self._record(mode)
-        return np.maximum(z, 0.0)
+        x = self._checked(x)
+        return np.stack([self.forward(x[:, : t + 1], mode) for t in range(x.shape[1])], axis=1)
 
     def own_kink_margin(self) -> float:
         z = np.empty(0) if self._cache is None else self._cache[0]

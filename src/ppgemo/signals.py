@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SignalTooShortError
+from .errors import ConfigError, DataError, SignalTooShortError, check_count
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import PpgRecord
@@ -39,8 +39,7 @@ class FilterSpec:
     fs_hz: float = 100.0
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ConfigError(f"order must be >= 1, got {self.order}")
+        check_count("order", self.order)
         if self.low_hz <= 0:
             raise ConfigError(f"low_hz must be positive, got {self.low_hz}")
         if self.high_hz <= self.low_hz:

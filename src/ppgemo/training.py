@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, check_count
 from .signals import Segment
 
 TARGETS = ("valence", "arousal")
@@ -40,11 +40,9 @@ class TrainConfig:
     val_fraction_subjects: float = 0.2
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not 0 < self.patience < self.max_epochs:
+        for name in ("batch_size", "max_epochs", "patience"):
+            check_count(name, getattr(self, name))
+        if self.patience >= self.max_epochs:
             raise ConfigError(
                 f"patience must be in (0, max_epochs), got patience={self.patience} "
                 f"max_epochs={self.max_epochs}"

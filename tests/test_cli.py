@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ppgemo import evaluation
+from ppgemo import cli, evaluation
 from ppgemo.cli import main, resolve_run_config
 from ppgemo.errors import ConfigError
 from ppgemo.data import load_canonical
@@ -329,6 +329,7 @@ BAD_RUNS = [
     ("train", "valence", 30.0, 10.0, "input_len 600 does not match the 300-sample window"),
     ("loso", "valence", 60.0, 20.0, "filter fs_hz 20.0 does not match the segmenter's fs_hz 10.0"),
     ("train", "valence", 60.0, 20.0, "filter fs_hz 20.0 does not match the segmenter's fs_hz 10.0"),
+    ("preprocess", None, 60.0, 20.0, "filter fs_hz 20.0 does not match the segmenter's fs_hz 10.0"),
 ]
 
 
@@ -342,7 +343,8 @@ def test_bad_run_fails_before_preprocessing(
     synth_dir, tmp_path, monkeypatch, capsys, command, target, window_s, filter_hz, message
 ):
     calls = []
-    monkeypatch.setattr(evaluation, "preprocess_record", lambda *args: calls.append(args))
+    for module in (evaluation, cli):
+        monkeypatch.setattr(module, "preprocess_record", lambda *args: calls.append(args))
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
         **CONFIG,
@@ -350,7 +352,9 @@ def test_bad_run_fails_before_preprocessing(
         "segmenter": {**CONFIG["segmenter"], "window_s": window_s},
     }))
     argv = [command, "--dataset", str(synth_dir), "--out", str(tmp_path / "out"), "--config",
-            str(path), "--variant", "cnn", "--target", target]
+            str(path)]
+    if command != "preprocess":  # preprocess takes no variant or target
+        argv += ["--variant", "cnn", "--target", target]
     assert main(argv) == 1
     assert message in capsys.readouterr().err
     assert not calls
@@ -367,6 +371,8 @@ def test_bad_run_fails_before_preprocessing(
         ([], {"seed": "abc"}, "seed must be an integer, got 'abc'"),
         ([], {"variant": ["cnn"]}, "'variant' must be a comma-separated string, got ['cnn']"),
         ([], {"target": ["valence"]}, "'target' must be a comma-separated string"),
+        ([], {"model": {**CONFIG["model"], "lstm_units": 4.5}},
+         "lstm_units must be an integer >= 1, got 4.5"),
     ],
 )
 def test_bad_run_setting_fails_before_anything_is_written(
@@ -379,6 +385,57 @@ def test_bad_run_setting_fails_before_anything_is_written(
     assert main(argv) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{bad", "cannot read config file {path}: "),
+        ("[1,2]", "config file {path} must hold a JSON object"),
+        ('{"train": [1]}', "'train' section in config file {path} must be an object"),
+        ('{"filter": 3}', "'filter' section in config file {path} must be an object"),
+    ],
+    ids=["not-json", "not-an-object", "train-not-an-object", "filter-not-an-object"],
+)
+def test_malformed_config_file_fails_with_a_message(synth_dir, tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    argv = ["loso", "--dataset", str(synth_dir), "--out", str(tmp_path / "out"), "--config",
+            str(path)]
+    assert main(argv) == 1
+    assert message.format(path=path) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, json.dumps({"cnn": {"folds": {}, "average": None}})],
+    ids=["missing-file", "no-means"],
+)
+def test_unreadable_report_fails_with_a_message(tmp_path, capsys, content):
+    path = tmp_path / "report.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["report", "--report", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"error: cannot read report file {path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["preprocess", "train", "loso"])
+def test_run_without_a_dataset_fails_before_anything_is_written(tmp_path, capsys, command):
+    assert main([command, "--out", str(tmp_path / "out")]) == 1
+    assert f"{command} needs --dataset" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--exclude-subjects", "--val-subjects"])
+def test_train_rejects_an_unknown_subject(synth_dir, config_file, tmp_path, capsys, flag):
+    out = tmp_path / "run"
+    argv = ["train", "--dataset", str(synth_dir), "--out", str(out), "--config",
+            str(config_file), "--variant", "cnn", flag, "S01,S9"]
+    assert main(argv) == 1
+    assert f"{flag} not in dataset: ['S9']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_importing_the_cli_leaves_scipy_signal_unloaded():

@@ -150,7 +150,6 @@ class TestSynth:
         assert len(ds.records) == 24
         assert len({(r.subject_id, r.trial_id) for r in ds.records}) == 24
         assert len(ds.subjects) == 6
-        assert ds.fs_hz == 100.0
 
     def test_balanced_classes_per_subject(self):
         ds = synth_dataset(SynthSpec(seed=0))
@@ -248,7 +247,6 @@ class TestImport:
         ds = import_ppge(raw, tmp_path / "canon")
         assert len(ds.records) == 72
         assert len(ds.subjects) == 18
-        assert ds.fs_hz == 100.0
         # canonical copy loads back identically
         reloaded = load_canonical(tmp_path / "canon")
         assert len(reloaded.records) == 72

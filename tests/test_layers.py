@@ -121,9 +121,9 @@ class TestBatchNorm1d:
 
     def test_infer_uses_running_stats(self):
         bn = BatchNorm1d(1)
-        bn.running_mean[...] = 1.0
-        bn.running_var[...] = 4.0
-        bn.seen_batch[...] = 1.0
+        bn.buffers["running_mean"][...] = 1.0
+        bn.buffers["running_var"][...] = 4.0
+        bn.buffers["seen_batch"][...] = 1.0
         bn.params["gamma"][...] = 2.0
         bn.params["beta"][...] = 3.0
         out = bn.forward(np.full((1, 1, 1), 5.0), "infer")
@@ -146,8 +146,8 @@ class TestBatchNorm1d:
         bn = BatchNorm1d(2)
         x = rng.standard_normal((4, 30, 2)) * 3.0 + 1.0
         bn.forward(x, "train")
-        np.testing.assert_allclose(bn.running_mean, x.mean(axis=(0, 1)))
-        np.testing.assert_allclose(bn.running_var, x.var(axis=(0, 1)))
+        np.testing.assert_allclose(bn.buffers["running_mean"], x.mean(axis=(0, 1)))
+        np.testing.assert_allclose(bn.buffers["running_var"], x.var(axis=(0, 1)))
 
 
 class TestDropout:
