@@ -27,6 +27,10 @@ class StateError(PpgEmoError):
     """Operation invoked in an invalid order, e.g. backward before forward."""
 
 
+class DivergenceError(PpgEmoError):
+    """Training produced a non-finite loss or gradient."""
+
+
 class MetricUndefinedError(PpgEmoError):
     """Metric has no defined value for the given inputs, e.g. single-class AUC."""
 

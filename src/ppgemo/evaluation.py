@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, DataError, MetricUndefinedError, ShapeError
+from .errors import ConfigError, DataError, DivergenceError, MetricUndefinedError, ShapeError
 from .models import Model, ModelConfig, build
 from .signals import FilterSpec, Segment, SegmenterSpec, preprocess_record
 from .training import (
@@ -224,11 +224,16 @@ def round2(x: float) -> float:
     return float(d.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
+def _metric_row(row: dict) -> dict[str, float | None]:
+    return {k: None if row[k] is None else float(row[k]) for k in METRIC_FIELDS}
+
+
 def report_from_dict(d: dict) -> EvalReport:
+    """One variant's EvalReport; a means or average row holds a number or None per metric."""
     return EvalReport(
         folds={t: [FoldMetrics(**r) for r in rows] for t, rows in d["folds"].items()},
-        means=d["means"],
-        average=d["average"],
+        means={t: _metric_row(row) for t, row in d["means"].items()},
+        average=None if d["average"] is None else _metric_row(d["average"]),
     )
 
 
@@ -391,9 +396,12 @@ def run_loso(
     def run_one(variant: str, target: str, i: int, train_subjects, test_subject: str) -> FoldRun:
         fseed = fold_seed_for(seed, i, target)
         fit, val = make_validation_split(train_subjects, train_config, fseed)
-        model, tlog = fit_model(
-            by_subject, fit, val, model_configs[variant], train_config, fseed, target
-        )
+        try:
+            model, tlog = fit_model(
+                by_subject, fit, val, model_configs[variant], train_config, fseed, target
+            )
+        except DivergenceError as exc:
+            raise DivergenceError(f"{variant} {target}, test subject {test_subject}: {exc}") from None
         metrics = evaluate_fold(model, by_subject[test_subject], target)
         log.info(
             "%s fold %s/%s target=%s: acc=%.3f auc=%s (stopped at epoch %d)",

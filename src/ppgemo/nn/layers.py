@@ -5,7 +5,9 @@ follows one protocol: ``forward(x, mode, rng)`` computes the output and
 records the values needed for differentiation (the tape), and
 ``backward(dy)`` consumes that tape, fills ``self.grads`` with parameter
 gradients, and returns the gradient with respect to the layer input (a
-``Conv1d`` built with ``input_grad=False`` returns None).
+``Conv1d`` built with ``input_grad=False`` returns None). ``dy`` is taken
+as given: the float64 array that the loss gradient or the next layer's
+backward made. No backward converts it or writes into it.
 Randomness is never ambient: layers that need it take an explicit
 ``numpy.random.Generator``. Layers take their hyperparameters as
 constructor arguments; only ``Conv1d`` bundles its five in a spec.
@@ -251,7 +253,6 @@ class Conv1d(Layer):
         xp, z, t, left, start, step = self._tape()
         spec = self.spec
         k, s, f = spec.kernel_size, spec.stride, spec.filters
-        dy = np.asarray(dy, dtype=np.float64)
         if spec.activation == "relu":
             dy = dy * (z > 0.0)
         w = self.params["W"]
@@ -316,7 +317,6 @@ class MaxPool1d(Layer):
 
     def backward(self, dy):
         x, out = self._tape()
-        dy = np.asarray(dy, dtype=np.float64)
         arg = (self._windows(x) == out[:, :, None, :]).argmax(axis=2, keepdims=True)
         dx = np.zeros_like(x)
         # windows do not overlap, so each input takes at most one gradient
@@ -347,7 +347,7 @@ class GlobalMaxPool(MaxPool1d):
         return super().forward(x, mode, rng)[:, 0]
 
     def backward(self, dy):
-        return super().backward(np.asarray(dy)[:, None])
+        return super().backward(dy[:, None])
 
 
 class BatchNorm1d(Layer):
@@ -406,7 +406,6 @@ class BatchNorm1d(Layer):
 
     def backward(self, dy):
         xhat, inv, n = self._tape()
-        dy = np.asarray(dy, dtype=np.float64)
         g = self.params["gamma"]
         dgamma = (dy * xhat).sum(axis=(0, 1))
         dbeta = dy.sum(axis=(0, 1))
@@ -446,7 +445,6 @@ class Dropout(Layer):
 
     def backward(self, dy):
         (scale,) = self._tape()
-        dy = np.asarray(dy, dtype=np.float64)
         return dy if scale is None else dy * scale
 
 
@@ -473,7 +471,6 @@ class Dense(Layer):
 
     def backward(self, dy):
         x, p = self._tape()
-        dy = np.asarray(dy, dtype=np.float64)
         dz = p * (dy - (dy * p).sum(axis=1, keepdims=True))
         self.grads = {"W": x.T @ dz, "b": dz.sum(axis=0)}
         return dz @ self.params["W"].T

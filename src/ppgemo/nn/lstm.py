@@ -68,7 +68,7 @@ class Lstm(Layer):
         self._record(mode, x, gates, cells, hiddens)
         return h
 
-    def backward(self, dh_last):
+    def backward(self, dh):
         x, gates, cells, hiddens = self._tape()
         bsz, t, _ = x.shape
         u = self.units
@@ -77,7 +77,6 @@ class Lstm(Layer):
         dr = np.zeros_like(r)
         db = np.zeros_like(self.params["b"])
         dx = np.empty_like(x)
-        dh = np.asarray(dh_last, dtype=np.float64).copy()
         dc = np.zeros((bsz, u))
         for k in range(t - 1, -1, -1):
             i = gates[k, :, :u]

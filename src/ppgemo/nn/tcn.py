@@ -141,7 +141,7 @@ class Tcn(Layer):
 
     def backward(self, dy):
         z, shape = self._tape()
-        dlast = np.asarray(dy, dtype=np.float64) * (z > 0.0)
+        dlast = dy * (z > 0.0)
         dh = dlast[:, None, :]
         for i, block in enumerate(reversed(self.blocks)):
             # a block's output feeds the next block and, at the final step,

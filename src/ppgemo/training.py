@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError, check_count
+from .errors import ConfigError, DataError, DivergenceError, ShapeError, check_count
 from .signals import Segment
 
 TARGETS = ("valence", "arousal")
@@ -162,6 +162,23 @@ def adam_step(
         p -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
+def train_step(model, x, onehot, weights, state: AdamState, config: TrainConfig, rng) -> float:
+    """Train-mode forward, weighted CCE and its gradient, backward, Adam;
+    returns the loss. A non-finite loss or gradient raises DivergenceError
+    before Adam changes any parameter."""
+    probs = model.forward(x, "train", rng)
+    del x  # the first conv's tape keeps its own padded copy; free the batch before backward
+    loss = weighted_cce(probs, onehot, weights)
+    model.backward(weighted_cce_grad(probs, onehot, weights))
+    grads = model.grads()
+    bad = next((k for k, g in grads.items() if not np.isfinite(g).all()), None)
+    if bad is not None or not math.isfinite(loss):
+        where = "loss" if bad is None else f"gradient {bad}"
+        raise DivergenceError(f"training diverged: non-finite {where} (loss {loss})")
+    adam_step(model.params(), grads, state, config)
+    return loss
+
+
 def make_validation_split(train_subjects, config: TrainConfig, seed) -> tuple[list, list]:
     """Subject-grouped split: ceil(val_fraction * n) subjects (at least one,
     never all) go to validation via a seeded shuffle."""
@@ -218,8 +235,7 @@ def train(model, train_segments, val_segments, config: TrainConfig, seed: int, t
     fold_weights = compute_class_weights(y)
     onehot = np.eye(2)[y]
 
-    params = model.params()
-    state = AdamState(params)
+    state = AdamState(model.params())
     log = TrainLog(class_weights=fold_weights.tolist())
     best_snap = None
     n = y.size
@@ -228,12 +244,13 @@ def train(model, train_segments, val_segments, config: TrainConfig, seed: int, t
         order = np.random.default_rng([seed, epoch]).permutation(n)
         drop_rng = np.random.default_rng([seed, epoch, 1])
         total = 0.0
-        for start in range(0, n, config.batch_size):
+        for batch, start in enumerate(range(0, n, config.batch_size), 1):
             idx = order[start : start + config.batch_size]
-            probs = model.forward(x[idx], "train", drop_rng)
-            total += weighted_cce(probs, onehot[idx], fold_weights) * idx.size
-            model.backward(weighted_cce_grad(probs, onehot[idx], fold_weights))
-            adam_step(params, model.grads(), state, config)
+            try:
+                loss = train_step(model, x[idx], onehot[idx], fold_weights, state, config, drop_rng)
+            except DivergenceError as exc:
+                raise DivergenceError(f"{exc} at epoch {epoch}, batch {batch}") from None
+            total += loss * idx.size
         log.train_loss.append(total / n)
         log.train_acc.append(float((predict_proba(model, x).argmax(axis=1) == y).mean()))
         val_acc = float((predict_proba(model, xv).argmax(axis=1) == yv).mean())

@@ -13,6 +13,7 @@ from ppgemo.cli import main, resolve_run_config
 from ppgemo.errors import ConfigError
 from ppgemo.data import load_canonical
 from ppgemo.evaluation import FoldMetrics, FoldRun, aggregate, save_reports
+from ppgemo.models import build
 from ppgemo.training import TrainLog
 
 # reduced geometry so CLI round trips stay fast: 10 Hz sampling keeps the
@@ -407,10 +408,46 @@ def test_malformed_config_file_fails_with_a_message(synth_dir, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_loso_diverged_run_fails_before_writing_results(
+    synth_dir, config_file, tmp_path, monkeypatch, capsys
+):
+    def planted(config, rng):
+        model = build(config, rng)
+        model.params()["trunk.conv1.W"][0, 0, 0] = np.nan
+        return model
+
+    monkeypatch.setattr(evaluation, "build", planted)
+    out = tmp_path / "loso"
+    argv = ["loso", "--dataset", str(synth_dir), "--out", str(out), "--config",
+            str(config_file), "--variant", "cnn", "--target", "valence", "--jobs", "2"]
+    assert main(argv) == 1
+    assert (
+        "error: cnn valence, test subject S01: training diverged: non-finite gradient "
+        "trunk.conv1.W (loss nan) at epoch 1, batch 1"
+    ) in capsys.readouterr().err
+    assert not list(out.rglob("fold_*.json"))
+    assert not list(out.glob("report.*"))
+
+
+ROW = dict.fromkeys(evaluation.METRIC_FIELDS, 0.5)
+
+
+def _report(**fields):
+    return json.dumps({"cnn": {"folds": {}, "means": {"valence": ROW}, "average": None, **fields}})
+
+
 @pytest.mark.parametrize(
     "content",
-    [None, json.dumps({"cnn": {"folds": {}, "average": None}})],
-    ids=["missing-file", "no-means"],
+    [
+        None,
+        json.dumps({"cnn": {"folds": {}, "average": None}}),
+        _report(means=5),
+        _report(means={"valence": 5}),
+        _report(average=5),
+        _report(means={"valence": {k: v for k, v in ROW.items() if k != "f1_class0"}}),
+    ],
+    ids=["missing-file", "no-means", "means-not-an-object", "means-row-not-an-object",
+         "average-not-an-object", "means-row-without-f1_class0"],
 )
 def test_unreadable_report_fails_with_a_message(tmp_path, capsys, content):
     path = tmp_path / "report.json"

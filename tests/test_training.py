@@ -1,8 +1,13 @@
+import importlib
+import math
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ppgemo import training
-from ppgemo.errors import ConfigError, DataError
+from ppgemo.errors import ConfigError, DataError, DivergenceError
 from ppgemo.models import ConvStage, ModelConfig, build
 from ppgemo.nn import TcnSpec
 from ppgemo.signals import Segment
@@ -15,6 +20,7 @@ from ppgemo.training import (
     predict_proba,
     segments_to_arrays,
     train,
+    train_step,
     weighted_cce,
     weighted_cce_grad,
 )
@@ -272,3 +278,78 @@ class TestTrainLoop:
         segs = two_tone_segments(["a", "b"])
         with pytest.raises(ConfigError, match="target"):
             train(model, segs, two_tone_segments(["d"]), TINY_TRAIN, 3, "joy")
+
+
+def counted(monkeypatch, name, calls):
+    """Replace training.<name> with a wrapper that counts its calls."""
+    fn = getattr(training, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(training, name, wrapper)
+
+
+class TestTrainStep:
+    def test_train_runs_one_step_per_batch(self, monkeypatch):
+        # 16 windows in batches of 5: three full batches and one of 1
+        segments = two_tone_segments(["a", "b"])
+        calls = {}
+        counted(monkeypatch, "train_step", calls)
+        model = build(TINY_MODEL, np.random.default_rng(0))
+        cfg = TrainConfig(batch_size=5, max_epochs=3, patience=2)
+        log = train(model, segments, two_tone_segments(["d"], rng_seed=99), cfg, 0, "valence")
+        assert log.stop_epoch == 3
+        assert calls == {"train_step": 3 * math.ceil(len(segments) / 5)}
+
+    def test_step_calls_the_module_loss_gradient_and_adam_once(self, monkeypatch):
+        x, y = segments_to_arrays(two_tone_segments(["a", "b"]), "valence")
+        calls = {}
+        for name in ("weighted_cce", "weighted_cce_grad", "adam_step"):
+            counted(monkeypatch, name, calls)
+        model = build(TINY_MODEL, np.random.default_rng(0))
+        loss = train_step(
+            model, x, np.eye(2)[y], compute_class_weights(y), AdamState(model.params()),
+            TINY_TRAIN, np.random.default_rng(1),
+        )
+        assert math.isfinite(loss)
+        assert calls == {"weighted_cce": 1, "weighted_cce_grad": 1, "adam_step": 1}
+
+    def test_divergence_raises_before_any_update(self):
+        model = build(TINY_MODEL, np.random.default_rng(0))
+        model.params()["trunk.conv1.W"][0, 0, 0] = np.nan
+        before = {k: v.copy() for k, v in model.params().items()}
+        segments = two_tone_segments(["a", "b"])
+        with pytest.raises(DivergenceError) as info:
+            train(model, segments, two_tone_segments(["d"], rng_seed=99), TINY_TRAIN, 0, "valence")
+        assert str(info.value) == (
+            "training diverged: non-finite gradient trunk.conv1.W (loss nan) at epoch 1, batch 1"
+        )
+        for k, v in model.params().items():
+            np.testing.assert_array_equal(v, before[k], err_msg=k)
+
+
+def test_benchmark_step_equals_the_programs(monkeypatch):
+    # perfbench times its own copy of the step; it must stay the program's
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    setting = workloads.SMOKE
+    x, y = workloads.make_windows(setting, 0, setting.train_batch)
+    onehot, weights = np.eye(2)[y], compute_class_weights(y)
+    mcfg = replace(setting.model, variant=workloads.TRAIN_VARIANT)
+    cfg = TrainConfig(batch_size=setting.train_batch)
+    runs = []
+    for step in (workloads.train_step, train_step):
+        model = build(mcfg, np.random.default_rng([0, 0]))
+        state = AdamState(model.params())
+        losses = [
+            step(model, x, onehot, weights, state, cfg, np.random.default_rng([0, 2, i]))
+            for i in range(2)
+        ]
+        runs.append((losses, model.params()))
+    (bench_losses, bench_params), (losses, params) = runs
+    np.testing.assert_array_equal(bench_losses, losses)
+    assert bench_params.keys() == params.keys()
+    for k in params:
+        np.testing.assert_array_equal(bench_params[k], params[k], err_msg=k)
