@@ -204,11 +204,12 @@ def cmd_train(args) -> int:
             raise ConfigError("no training subjects left after the validation split")
     else:
         fit, val = make_validation_split(subjects, cfg.train, cfg.seed)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     model, tlog = ev.fit_model(by_subject, fit, val, mcfg, cfg.train, cfg.seed, target)
 
+    # made only now, so a run that fails in training leaves no directory
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "trainlog.jsonl", "w") as fh:
         for row in tlog.to_records():
             fh.write(json.dumps(row, sort_keys=True) + "\n")

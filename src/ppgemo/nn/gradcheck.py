@@ -31,8 +31,9 @@ from .layers import (
 from .lstm import Lstm
 from .tcn import Tcn, TcnSpec
 
-DEFAULT_STEP = 1e-5
-DEFAULT_TOL = 1e-4
+# central-difference step, and the bound on a family's worst relative error
+STEP = 1e-5
+TOL = 1e-4
 # Minimum distance from any kink for a case to be admissible; must stay
 # well above the FD step times the local sensitivity.
 MIN_KINK_MARGIN = 1e-3
@@ -55,15 +56,14 @@ class CheckResult:
     name: str
     cases: int
     max_rel_err: float
-    tol: float
 
     @property
     def ok(self) -> bool:
-        return self.max_rel_err < self.tol
+        return self.max_rel_err < TOL
 
 
 def central_difference(
-    loss_fn: Callable[[], float], arrays: dict[str, np.ndarray], step: float = DEFAULT_STEP
+    loss_fn: Callable[[], float], arrays: dict[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
     """Central finite differences of `loss_fn` w.r.t. every array element,
     wiggling in place and restoring."""
@@ -74,12 +74,12 @@ def central_difference(
         gf = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + STEP
             lp = loss_fn()
-            flat[i] = orig - step
+            flat[i] = orig - STEP
             lm = loss_fn()
             flat[i] = orig
-            gf[i] = (lp - lm) / (2.0 * step)
+            gf[i] = (lp - lm) / (2.0 * STEP)
         out[name] = g
     return out
 
@@ -225,13 +225,7 @@ FAMILIES = {
 }
 
 
-def check_family(
-    name: str,
-    cases: int = 20,
-    seed: int = 0,
-    step: float = DEFAULT_STEP,
-    tol: float = DEFAULT_TOL,
-) -> CheckResult:
+def check_family(name: str, cases: int = 20, seed: int = 0) -> CheckResult:
     draw = FAMILIES[name]
     family_rng = np.random.default_rng([seed, sorted(FAMILIES).index(name)])
     worst = 0.0
@@ -243,18 +237,11 @@ def check_family(
         else:  # pragma: no cover - would need a pathological generator
             raise StateError(f"could not draw a well-posed case for {name}")
         a = case.analytic()
-        n = central_difference(case.loss, case.arrays, step)
+        n = central_difference(case.loss, case.arrays)
         worst = max(worst, relative_error(a, n))
-    return CheckResult(name, cases, worst, tol)
+    return CheckResult(name, cases, worst)
 
 
-def run_suite(
-    cases_per_layer: int = 20,
-    seed: int = 0,
-    step: float = DEFAULT_STEP,
-    tol: float = DEFAULT_TOL,
-) -> list[CheckResult]:
+def run_suite(cases_per_layer: int = 20, seed: int = 0) -> list[CheckResult]:
     """Check every layer family; results come back in a stable order."""
-    return [
-        check_family(name, cases_per_layer, seed, step, tol) for name in sorted(FAMILIES)
-    ]
+    return [check_family(name, cases_per_layer, seed) for name in sorted(FAMILIES)]

@@ -7,7 +7,12 @@ records the values needed for differentiation (the tape), and
 gradients, and returns the gradient with respect to the layer input (a
 ``Conv1d`` built with ``input_grad=False`` returns None). ``dy`` is taken
 as given: the float64 array that the loss gradient or the next layer's
-backward made. No backward converts it or writes into it.
+backward made. No backward converts it or writes into it. The input side
+has one contract too, checked by ``Layer._input`` at the top of every
+forward: ``mode`` is "train" or "infer" (else ``ConfigError``), ``x``
+becomes float64, and its rank and fixed axis sizes must match the layer's
+(else ``ShapeError`` naming the layer and the shape it expected;
+``Dropout`` checks no axes).
 Randomness is never ambient: layers that need it take an explicit
 ``numpy.random.Generator``. Layers take their hyperparameters as
 constructor arguments; only ``Conv1d`` bundles its five in a spec.
@@ -45,11 +50,6 @@ BN_EPSILON = 1e-3
 # B=512 train step ~15% slower. A B=512 batch never materialises its whole
 # unfolded input (393 MB for conv1).
 CHUNK_ELEMS = 2**17
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -93,6 +93,21 @@ class Layer:
 
     def backward(self, dy):
         raise NotImplementedError
+
+    def _input(self, x, mode, shape):
+        """`x` as float64, after checking `mode` and that `x` has the axes of
+        `shape`: a string entry names a free axis, an integer fixes its size.
+        `shape` None checks no axes."""
+        if mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+        x = np.asarray(x, dtype=np.float64)
+        if shape is not None and (
+            x.ndim != len(shape)
+            or any(not isinstance(want, str) and n != want for n, want in zip(x.shape, shape))
+        ):
+            expected = ", ".join(map(str, shape))
+            raise ShapeError(f"{type(self).__name__} expected [{expected}], got {x.shape}")
+        return x
 
     def sublayers(self) -> list[tuple[str, "Layer"]]:
         return []
@@ -221,12 +236,7 @@ class Conv1d(Layer):
         return time
 
     def forward(self, x, mode="train", rng=None, start=0, step=1):
-        _check_mode(mode)
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[2] != self.in_channels:
-            raise ShapeError(
-                f"conv1d expected [batch, time, {self.in_channels}], got {x.shape}"
-            )
+        x = self._input(x, mode, ("batch", "time", self.in_channels))
         spec = self.spec
         k, s, f = spec.kernel_size, spec.stride, spec.filters
         bsz, t, _ = x.shape
@@ -305,10 +315,7 @@ class MaxPool1d(Layer):
         return a[:, : n * self.pool, :].reshape(bsz, n, self.pool, c)
 
     def forward(self, x, mode="train", rng=None):
-        _check_mode(mode)
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3:
-            raise ShapeError(f"maxpool expected [batch, time, channels], got {x.shape}")
+        x = self._input(x, mode, ("batch", "time", "channels"))
         if x.shape[1] < self.pool:
             raise ShapeError(f"time axis {x.shape[1]} shorter than pool window {self.pool}")
         out = self._windows(x).max(axis=2)
@@ -372,12 +379,7 @@ class BatchNorm1d(Layer):
         }
 
     def forward(self, x, mode="train", rng=None):
-        _check_mode(mode)
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[2] != self.channels:
-            raise ShapeError(
-                f"batchnorm expected [batch, time, {self.channels}], got {x.shape}"
-            )
+        x = self._input(x, mode, ("batch", "time", self.channels))
         buf = self.buffers
         if mode == "train":
             mean = x.mean(axis=(0, 1))
@@ -425,21 +427,18 @@ class Dropout(Layer):
         self.rate = rate
 
     def forward(self, x, mode="train", rng=None, drawn=None):
-        """`drawn=(time, rows)`: x holds only the time steps `rows` (a slice)
-        of a `time`-step sequence. The mask is drawn for all `time` steps,
-        as a forward over the whole sequence draws it, and cut to `rows`."""
-        _check_mode(mode)
-        x = np.asarray(x, dtype=np.float64)
+        """Axis 1 of `x` is time. `drawn=(time, rows)`: x holds only the time
+        steps `rows` (a slice) of a `time`-step sequence; without it, x is
+        the whole sequence. The mask is drawn for all `time` steps, as a
+        forward over the whole sequence draws it, and cut to `rows`."""
+        x = self._input(x, mode, None)
         scale = None
         if mode == "train" and self.rate > 0.0:
             if rng is None:
                 raise StateError("dropout in train mode needs an explicit rng")
-            if drawn is None:
-                keep = rng.random(x.shape) >= self.rate
-            else:
-                time, rows = drawn
-                keep = (rng.random((x.shape[0], time, x.shape[2])) >= self.rate)[:, rows]
-            scale = keep / (1.0 - self.rate)
+            time, rows = drawn or (x.shape[1], slice(None))
+            full = rng.random((x.shape[0], time, *x.shape[2:])) >= self.rate
+            scale = full[:, rows] / (1.0 - self.rate)
         self._record(mode, scale)
         return x if scale is None else x * scale
 
@@ -461,10 +460,7 @@ class Dense(Layer):
         }
 
     def forward(self, x, mode="train", rng=None):
-        _check_mode(mode)
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ShapeError(f"dense expected [batch, {self.in_features}], got {x.shape}")
+        x = self._input(x, mode, ("batch", self.in_features))
         p = softmax(x @ self.params["W"] + self.params["b"])
         self._record(mode, x, p)
         return p

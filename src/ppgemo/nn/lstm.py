@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from ..errors import ShapeError, check_count
-from .layers import Layer, _check_mode, glorot_uniform
+from ..errors import check_count
+from .layers import Layer, glorot_uniform
 
 
 class Lstm(Layer):
@@ -38,12 +38,7 @@ class Lstm(Layer):
         }
 
     def forward(self, x, mode="train", rng=None):
-        _check_mode(mode)
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[2] != self.in_features:
-            raise ShapeError(
-                f"lstm expected [batch, time, {self.in_features}], got {x.shape}"
-            )
+        x = self._input(x, mode, ("batch", "time", self.in_features))
         bsz, t, _ = x.shape
         u = self.units
         w, r, bias = self.params["W"], self.params["R"], self.params["b"]

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError, check_count
-from .layers import Conv1d, Conv1dSpec, Dropout, Layer, _check_mode
+from ..errors import ConfigError, check_count
+from .layers import Conv1d, Conv1dSpec, Dropout, Layer
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,7 @@ class _Block(Layer):
 class Tcn(Layer):
     def __init__(self, in_channels: int, spec: TcnSpec, rng: np.random.Generator):
         super().__init__()
+        self.in_channels = in_channels
         self.spec = spec
         self.blocks = []
         ch = in_channels
@@ -116,17 +117,9 @@ class Tcn(Layer):
     def sublayers(self):
         return [(f"block{i}", block) for i, block in enumerate(self.blocks)]
 
-    @staticmethod
-    def _checked(x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3:
-            raise ShapeError(f"tcn expected [batch, time, channels], got {x.shape}")
-        return x
-
     def forward(self, x, mode="train", rng=None):
         """Output at the final time step, [batch, filters]."""
-        _check_mode(mode)
-        x = self._checked(x)
+        x = self._input(x, mode, ("batch", "time", self.in_channels))
         t = x.shape[1]
         ds = self.spec.dilations
         # the last block keeps the final step only: no step is d * t after it
@@ -154,15 +147,13 @@ class Tcn(Layer):
         dx[:, (shape[1] - 1) % d0 :: d0] = dh
         return dx
 
-    def forward_sequence(self, x, mode="infer"):
+    def forward_sequence(self, x):
         """Full-sequence output [batch, time, filters], before the final
-        time step is selected. Infer mode only; records no tape. Step t's
-        output is `forward` on the steps 0..t, so this costs one forward
+        time step is selected. Step t's output is an infer-mode `forward`
+        on the steps 0..t, so this records no tape and costs one forward
         per step."""
-        if mode != "infer":
-            raise ConfigError(f"forward_sequence runs in infer mode only, got {mode!r}")
-        x = self._checked(x)
-        return np.stack([self.forward(x[:, : t + 1], mode) for t in range(x.shape[1])], axis=1)
+        x = self._input(x, "infer", ("batch", "time", self.in_channels))
+        return np.stack([self.forward(x[:, : t + 1], "infer") for t in range(x.shape[1])], axis=1)
 
     def own_kink_margin(self) -> float:
         z = np.empty(0) if self._cache is None else self._cache[0]

@@ -199,7 +199,7 @@ def segments_to_arrays(segments: list[Segment], target: str) -> tuple[np.ndarray
     check_target(target)
     if not segments:
         raise DataError("no segments to convert")
-    x = np.stack([s.samples for s in segments]).astype(np.float64)[:, :, None]
+    x = np.stack([s.samples for s in segments]).astype(np.float64, copy=False)[:, :, None]
     y = np.array([getattr(s, target) for s in segments], dtype=np.int64)
     return x, y
 

@@ -35,9 +35,9 @@ def ok(criterion, message):
 
 
 def test_criterion_1_gradient_correctness():
-    results = run_suite(cases_per_layer=20, seed=0, step=1e-5, tol=1e-4)
+    results = run_suite(cases_per_layer=20, seed=0)
     for r in results:
-        assert r.ok, f"{r.name}: max relative error {r.max_rel_err:.3e} >= 1e-4"
+        assert r.max_rel_err < 1e-4, f"{r.name}: max relative error {r.max_rel_err:.3e} >= 1e-4"
     worst = max(r.max_rel_err for r in results)
     ok(1, f"9 layer families x 20 cases, worst relative error {worst:.2e} < 1e-4")
 
@@ -82,11 +82,11 @@ def test_criterion_4_tcn_structure():
     for trial in range(5):
         tcn = Tcn(3, TcnSpec(filters=2, kernel_size=4, dilations=(1, 2), dropout_rate=0.0), rng)
         x = rng.standard_normal((1, 40, 3))
-        base = tcn.forward_sequence(x, "infer")
+        base = tcn.forward_sequence(x)
         t0 = int(rng.integers(1, 40))
         bumped = x.copy()
         bumped[0, t0, :] += 1.0
-        out = tcn.forward_sequence(bumped, "infer")
+        out = tcn.forward_sequence(bumped)
         np.testing.assert_array_equal(out[:, :t0, :], base[:, :t0, :])
 
     # receptive field 1 + 2*(32-1)*15 = 931 for the evaluated configuration

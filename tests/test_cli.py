@@ -429,6 +429,26 @@ def test_loso_diverged_run_fails_before_writing_results(
     assert not list(out.glob("report.*"))
 
 
+def test_train_diverged_run_leaves_no_output_directory(
+    synth_dir, config_file, tmp_path, monkeypatch, capsys
+):
+    def planted(config, rng):
+        model = build(config, rng)
+        model.params()["trunk.conv1.W"][0, 0, 0] = np.nan
+        return model
+
+    monkeypatch.setattr(evaluation, "build", planted)
+    out = tmp_path / "train"
+    argv = ["train", "--dataset", str(synth_dir), "--out", str(out), "--config",
+            str(config_file), "--variant", "cnn", "--target", "valence"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: training diverged: non-finite gradient trunk.conv1.W (loss nan) "
+        "at epoch 1, batch 1\n"
+    )
+    assert not out.exists()
+
+
 ROW = dict.fromkeys(evaluation.METRIC_FIELDS, 0.5)
 
 

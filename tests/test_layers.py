@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,6 +15,8 @@ from ppgemo.nn import (
     GlobalMaxPool,
     Lstm,
     MaxPool1d,
+    Tcn,
+    TcnSpec,
     softmax,
 )
 from ppgemo.nn.layers import BN_EPSILON
@@ -176,6 +180,22 @@ class TestDropout:
             total += drop.forward(x, "train", rng)
         np.testing.assert_allclose(total / 10000, x, rtol=0.02)
 
+    @pytest.mark.parametrize("shape", [(3, 7), (2, 9, 4)])
+    def test_seeded_mask(self, shape):
+        x = np.random.default_rng(1).standard_normal(shape)
+        out = Dropout(0.3).forward(x, "train", np.random.default_rng(7))
+        keep = np.random.default_rng(7).random(shape) >= 0.3
+        np.testing.assert_array_equal(out, x * (keep / (1 - 0.3)))
+
+    def test_drawn_rows_cut_the_full_sequence_mask(self):
+        # x holds every third of 10 steps, from step 1: the mask is the
+        # [batch, 10, features] draw cut to those steps
+        rows = slice(1, None, 3)
+        x = np.random.default_rng(1).standard_normal((2, 3, 4))
+        out = Dropout(0.3).forward(x, "train", np.random.default_rng(7), drawn=(10, rows))
+        keep = np.random.default_rng(7).random((2, 10, 4)) >= 0.3
+        np.testing.assert_array_equal(out, x * (keep[:, rows] / (1 - 0.3)))
+
 
 class TestDense:
     def _identity_dense(self, rng):
@@ -287,3 +307,37 @@ class TestFiniteOutputs:
         for layer in layers:
             out = layer.forward(x, "train", rng)
             assert np.isfinite(out).all()
+
+
+# layer, a valid input shape, and the shape its ShapeError names (None: no
+# axes are checked); every layer takes 3 input channels or features
+CONTRACT = {
+    "Conv1d": (lambda rng: Conv1d(3, Conv1dSpec(2, 3), rng), (2, 8, 3), "[batch, time, 3]"),
+    "MaxPool1d": (lambda rng: MaxPool1d(2), (2, 8, 3), "[batch, time, channels]"),
+    "GlobalMaxPool": (lambda rng: GlobalMaxPool(), (2, 8, 3), "[batch, time, channels]"),
+    "BatchNorm1d": (lambda rng: BatchNorm1d(3), (2, 8, 3), "[batch, time, 3]"),
+    "Dropout": (lambda rng: Dropout(0.3), (2, 8, 3), None),
+    "Dense": (lambda rng: Dense(3, rng), (2, 3), "[batch, 3]"),
+    "Lstm": (lambda rng: Lstm(3, 2, rng), (2, 8, 3), "[batch, time, 3]"),
+    "Tcn": (lambda rng: Tcn(3, TcnSpec(2, 2, (1, 2), 0.3), rng), (2, 8, 3), "[batch, time, 3]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_forward_input_contract(name, rng):
+    make, shape, expected = CONTRACT[name]
+    layer = make(rng)
+    x = np.ones(shape, dtype=np.int64)
+    with pytest.raises(ConfigError, match="mode must be one of"):
+        layer.forward(x, "eval", rng)
+    # train first: batch norm infers only after a training batch
+    for mode in ("train", "infer"):
+        assert layer.forward(x, mode, rng).dtype == np.float64
+    if expected is None:
+        return
+    wrong = [x[..., None]]  # one axis too many
+    if expected.endswith("3]"):
+        wrong.append(np.ones(shape[:-1] + (4,)))
+    for bad in wrong:
+        with pytest.raises(ShapeError, match=re.escape(f"{name} expected {expected}, got")):
+            layer.forward(bad, "infer", rng)

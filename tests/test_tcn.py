@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import rel_err, tcn_backward, tcn_forward
-from ppgemo.errors import ConfigError
+from ppgemo.errors import ConfigError, StateError
 from ppgemo.nn import Tcn, TcnSpec
 
 TOL = 1e-12
@@ -44,9 +44,13 @@ def test_first_dilation_above_one_runs_the_subsequence_path(rng):
 
 
 def test_forward_sequence_is_infer_only(rng):
+    # it records no tape, and drops the one a train-mode forward left
     tcn = Tcn(2, TcnSpec(filters=2, kernel_size=3, dilations=(1, 2)), rng)
-    with pytest.raises(ConfigError, match="infer"):
-        tcn.forward_sequence(rng.standard_normal((1, 8, 2)), "train")
+    x = rng.standard_normal((1, 8, 2))
+    tcn.forward(x, "train", rng)
+    tcn.forward_sequence(x)
+    with pytest.raises(StateError, match="without a forward in train mode"):
+        tcn.backward(np.ones((1, 2)))
 
 
 def test_causality_on_full_sequence(rng):
@@ -60,11 +64,11 @@ def test_causality_on_full_sequence(rng):
         )
         tcn = Tcn(2, spec, rng)
         x = rng.standard_normal((1, 30, 2))
-        base = tcn.forward_sequence(x, "infer")
+        base = tcn.forward_sequence(x)
         t0 = int(rng.integers(0, 30))
         bumped = x.copy()
         bumped[0, t0, :] += rng.uniform(0.5, 2.0)
-        out = tcn.forward_sequence(bumped, "infer")
+        out = tcn.forward_sequence(bumped)
         np.testing.assert_array_equal(out[:, :t0, :], base[:, :t0, :])
 
 
