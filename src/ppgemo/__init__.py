@@ -10,10 +10,8 @@ from .data import Dataset, PpgRecord, SynthSpec, load_canonical, save_canonical,
 from .errors import (
     ConfigError,
     DataError,
-    MetricUndefinedError,
     PpgEmoError,
     ShapeError,
-    SignalTooShortError,
     StateError,
 )
 from .evaluation import EvalReport, FoldMetrics, aggregate, auc, evaluate_fold, loso_folds, run_loso
@@ -30,7 +28,6 @@ __all__ = [
     "EvalReport",
     "FilterSpec",
     "FoldMetrics",
-    "MetricUndefinedError",
     "Model",
     "ModelConfig",
     "PpgEmoError",
@@ -38,7 +35,6 @@ __all__ = [
     "Segment",
     "SegmenterSpec",
     "ShapeError",
-    "SignalTooShortError",
     "StateError",
     "SynthSpec",
     "TrainConfig",

@@ -111,6 +111,14 @@ def _dump_json(path: Path, payload) -> None:
         json.dump(payload, fh, sort_keys=True, indent=1)
 
 
+def _write_tables(reports, out: Path) -> None:
+    """Write report.csv and report.md under `out` and print the markdown."""
+    markdown = ev.render_markdown(reports)
+    (out / "report.csv").write_text(ev.render_csv(reports))
+    (out / "report.md").write_text(markdown)
+    print(markdown)
+
+
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -246,9 +254,7 @@ def cmd_loso(args) -> int:
     }
 
     ev.save_reports(reports, out / "report.json")
-    (out / "report.csv").write_text(ev.render_csv(reports))
-    (out / "report.md").write_text(ev.render_markdown(reports))
-    print(ev.render_markdown(reports))
+    _write_tables(reports, out)
     return 0
 
 
@@ -256,10 +262,8 @@ def cmd_report(args) -> int:
     reports = ev.load_reports(args.report)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.csv").write_text(ev.render_csv(reports))
-    (out / "report.md").write_text(ev.render_markdown(reports))
     _dump_json(out / "run_config.json", {"report": str(args.report)})
-    print(ev.render_markdown(reports))
+    _write_tables(reports, out)
     return 0
 
 

@@ -15,10 +15,6 @@ class DataError(PpgEmoError):
     """Input data violates a documented precondition."""
 
 
-class SignalTooShortError(DataError):
-    """Signal cannot fill a single analysis window; caller decides skip vs abort."""
-
-
 class ShapeError(PpgEmoError):
     """Array shape does not match what an operation expects."""
 
@@ -29,10 +25,6 @@ class StateError(PpgEmoError):
 
 class DivergenceError(PpgEmoError):
     """Training produced a non-finite loss or gradient."""
-
-
-class MetricUndefinedError(PpgEmoError):
-    """Metric has no defined value for the given inputs, e.g. single-class AUC."""
 
 
 def check_count(name: str, value) -> None:

@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, DataError, DivergenceError, MetricUndefinedError, ShapeError
+from .errors import ConfigError, DataError, DivergenceError, ShapeError
 from .models import Model, ModelConfig, build
 from .signals import FilterSpec, Segment, SegmenterSpec, preprocess_record
 from .training import (
@@ -116,21 +116,19 @@ def macro_f1(preds, labels) -> float:
     return 0.5 * (f1_per_class(preds, labels, 0) + f1_per_class(preds, labels, 1))
 
 
-def auc(scores, labels) -> float:
+def auc(scores, labels) -> float | None:
     """Rank-based (Mann-Whitney) AUC; ties contribute half credit.
 
     Equals the mean over all (positive, negative) pairs of
-    1[s_pos > s_neg] + 0.5 * 1[s_pos == s_neg].
+    1[s_pos > s_neg] + 0.5 * 1[s_pos == s_neg]. None when only one class
+    is present, since there is no such pair.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    if s.shape != y.shape or s.ndim != 1:
-        raise ShapeError(f"scores {s.shape} and labels {y.shape} must be equal 1-d")
+    s, y = _paired(scores, labels)
     pos = y == 1
     n_pos = int(pos.sum())
     n_neg = s.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise MetricUndefinedError("AUC undefined: only one class present")
+        return None
     # a run of c tied scores ending at 1-based rank r holds ranks r-c+1..r,
     # whose mean is r - (c-1)/2
     _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
@@ -157,11 +155,9 @@ def evaluate_fold(model, test_segments, target: str) -> FoldMetrics:
     probs = predict_proba(model, x)
     scores = probs[:, 1]
     preds = probs.argmax(axis=1)
-    try:
-        auc_val = auc(scores, y)
-    except MetricUndefinedError:
+    auc_val = auc(scores, y)
+    if auc_val is None:
         log.warning("subject %s: AUC undefined (single-class test set)", subject)
-        auc_val = None
     return FoldMetrics(
         test_subject=subject,
         accuracy=accuracy(preds, y),

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, check_count
+from .errors import ConfigError, check_count
 from .nn.layers import (
     BatchNorm1d,
     Conv1d,
@@ -26,6 +26,7 @@ from .nn.layers import (
     Dropout,
     GlobalMaxPool,
     MaxPool1d,
+    check_input,
     gather,
 )
 from .nn.lstm import Lstm
@@ -153,12 +154,7 @@ class Model:
     # -- forward / backward ---------------------------------------------------
 
     def forward(self, x, mode="infer", rng=None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[1] != self.config.input_len or x.shape[2] != 1:
-            raise ShapeError(
-                f"stage input: expected [batch, {self.config.input_len}, 1], "
-                f"got {x.shape}"
-            )
+        x = check_input(self, x, mode, ("batch", self.config.input_len, 1))
         trace = [("input", x.shape)]
         h = x
         for name, layer in self.trunk:

@@ -8,11 +8,11 @@ gradients, and returns the gradient with respect to the layer input (a
 ``Conv1d`` built with ``input_grad=False`` returns None). ``dy`` is taken
 as given: the float64 array that the loss gradient or the next layer's
 backward made. No backward converts it or writes into it. The input side
-has one contract too, checked by ``Layer._input`` at the top of every
-forward: ``mode`` is "train" or "infer" (else ``ConfigError``), ``x``
-becomes float64, and its rank and fixed axis sizes must match the layer's
-(else ``ShapeError`` naming the layer and the shape it expected;
-``Dropout`` checks no axes).
+has one contract too, checked by ``check_input`` at the top of every
+forward, ``Model.forward`` included: ``mode`` is "train" or "infer" (else
+``ConfigError``), ``x`` becomes float64, and its rank and fixed axis sizes
+must match the layer's (else ``ShapeError`` naming the layer or model and
+the shape it expected; ``Dropout`` checks no axes).
 Randomness is never ambient: layers that need it take an explicit
 ``numpy.random.Generator``. Layers take their hyperparameters as
 constructor arguments; only ``Conv1d`` bundles its five in a spec.
@@ -78,6 +78,22 @@ def gather(root, attr: str) -> dict[str, np.ndarray]:
     }
 
 
+def check_input(owner, x, mode, shape):
+    """`x` as float64, after checking `mode` and that `x` has the axes of
+    `shape`: a string entry names a free axis, an integer fixes its size.
+    `shape` None checks no axes. Errors name `owner`'s class."""
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    x = np.asarray(x, dtype=np.float64)
+    if shape is not None and (
+        x.ndim != len(shape)
+        or any(not isinstance(want, str) and n != want for n, want in zip(x.shape, shape))
+    ):
+        expected = ", ".join(map(str, shape))
+        raise ShapeError(f"{type(owner).__name__} expected [{expected}], got {x.shape}")
+    return x
+
+
 class Layer:
     """Base forward/backward pair with parameter, gradient and buffer dicts."""
 
@@ -93,21 +109,6 @@ class Layer:
 
     def backward(self, dy):
         raise NotImplementedError
-
-    def _input(self, x, mode, shape):
-        """`x` as float64, after checking `mode` and that `x` has the axes of
-        `shape`: a string entry names a free axis, an integer fixes its size.
-        `shape` None checks no axes."""
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-        x = np.asarray(x, dtype=np.float64)
-        if shape is not None and (
-            x.ndim != len(shape)
-            or any(not isinstance(want, str) and n != want for n, want in zip(x.shape, shape))
-        ):
-            expected = ", ".join(map(str, shape))
-            raise ShapeError(f"{type(self).__name__} expected [{expected}], got {x.shape}")
-        return x
 
     def sublayers(self) -> list[tuple[str, "Layer"]]:
         return []
@@ -236,7 +237,7 @@ class Conv1d(Layer):
         return time
 
     def forward(self, x, mode="train", rng=None, start=0, step=1):
-        x = self._input(x, mode, ("batch", "time", self.in_channels))
+        x = check_input(self, x, mode, ("batch", "time", self.in_channels))
         spec = self.spec
         k, s, f = spec.kernel_size, spec.stride, spec.filters
         bsz, t, _ = x.shape
@@ -315,7 +316,7 @@ class MaxPool1d(Layer):
         return a[:, : n * self.pool, :].reshape(bsz, n, self.pool, c)
 
     def forward(self, x, mode="train", rng=None):
-        x = self._input(x, mode, ("batch", "time", "channels"))
+        x = check_input(self, x, mode, ("batch", "time", "channels"))
         if x.shape[1] < self.pool:
             raise ShapeError(f"time axis {x.shape[1]} shorter than pool window {self.pool}")
         out = self._windows(x).max(axis=2)
@@ -379,7 +380,7 @@ class BatchNorm1d(Layer):
         }
 
     def forward(self, x, mode="train", rng=None):
-        x = self._input(x, mode, ("batch", "time", self.channels))
+        x = check_input(self, x, mode, ("batch", "time", self.channels))
         buf = self.buffers
         if mode == "train":
             mean = x.mean(axis=(0, 1))
@@ -431,7 +432,7 @@ class Dropout(Layer):
         steps `rows` (a slice) of a `time`-step sequence; without it, x is
         the whole sequence. The mask is drawn for all `time` steps, as a
         forward over the whole sequence draws it, and cut to `rows`."""
-        x = self._input(x, mode, None)
+        x = check_input(self, x, mode, None)
         scale = None
         if mode == "train" and self.rate > 0.0:
             if rng is None:
@@ -460,7 +461,7 @@ class Dense(Layer):
         }
 
     def forward(self, x, mode="train", rng=None):
-        x = self._input(x, mode, ("batch", self.in_features))
+        x = check_input(self, x, mode, ("batch", self.in_features))
         p = softmax(x @ self.params["W"] + self.params["b"])
         self._record(mode, x, p)
         return p

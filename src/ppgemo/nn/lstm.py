@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from ..errors import check_count
-from .layers import Layer, glorot_uniform
+from .layers import Layer, check_input, glorot_uniform
 
 
 class Lstm(Layer):
@@ -38,7 +38,7 @@ class Lstm(Layer):
         }
 
     def forward(self, x, mode="train", rng=None):
-        x = self._input(x, mode, ("batch", "time", self.in_features))
+        x = check_input(self, x, mode, ("batch", "time", self.in_features))
         bsz, t, _ = x.shape
         u = self.units
         w, r, bias = self.params["W"], self.params["R"], self.params["b"]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, check_count
-from .layers import Conv1d, Conv1dSpec, Dropout, Layer
+from .layers import Conv1d, Conv1dSpec, Dropout, Layer, check_input
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ class Tcn(Layer):
 
     def forward(self, x, mode="train", rng=None):
         """Output at the final time step, [batch, filters]."""
-        x = self._input(x, mode, ("batch", "time", self.in_channels))
+        x = check_input(self, x, mode, ("batch", "time", self.in_channels))
         t = x.shape[1]
         ds = self.spec.dilations
         # the last block keeps the final step only: no step is d * t after it
@@ -152,7 +152,7 @@ class Tcn(Layer):
         time step is selected. Step t's output is an infer-mode `forward`
         on the steps 0..t, so this records no tape and costs one forward
         per step."""
-        x = self._input(x, "infer", ("batch", "time", self.in_channels))
+        x = check_input(self, x, "infer", ("batch", "time", self.in_channels))
         return np.stack([self.forward(x[:, : t + 1], "infer") for t in range(x.shape[1])], axis=1)
 
     def own_kink_margin(self) -> float:

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SignalTooShortError, check_count
+from .errors import ConfigError, DataError, check_count
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import PpgRecord
@@ -147,17 +147,13 @@ def segment(signal: np.ndarray, spec: SegmenterSpec) -> list[tuple[int, np.ndarr
     """Cut verbatim sliding windows out of `signal`.
 
     Window i covers samples [i*S, i*S + W) where S is the stride and W the
-    window length in samples, giving floor((L - W)/S) + 1 windows. Returns
-    (start_index, window) pairs; raises SignalTooShortError when the
-    signal cannot fill one window.
+    window length in samples, giving floor((L - W)/S) + 1 windows: none
+    when the signal is shorter than one window. Returns (start_index,
+    window) pairs.
     """
     x = np.asarray(signal, dtype=np.float64)
     w = spec.window_samples
     s = spec.stride_samples
-    if x.size < w:
-        raise SignalTooShortError(
-            f"signal of {x.size} samples is shorter than one {w}-sample window"
-        )
     count = (x.size - w) // s + 1
     return [(i * s, x[i * s : i * s + w].copy()) for i in range(count)]
 
@@ -194,9 +190,8 @@ def preprocess_record(
             f"and fs_hz={sspec.fs_hz} (segmenter)"
         )
     filtered = apply_filter(record.samples, fspec)
-    try:
-        windows = segment(filtered, sspec)
-    except SignalTooShortError:
+    windows = segment(filtered, sspec)
+    if not windows:
         log.warning(
             "skipping %s/trial %s: %d samples < one %d-sample window",
             record.subject_id,

@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ import pytest
 from ppgemo import cli, evaluation
 from ppgemo.cli import main, resolve_run_config
 from ppgemo.errors import ConfigError
-from ppgemo.data import load_canonical
+from ppgemo.data import Dataset, load_canonical, save_canonical
 from ppgemo.evaluation import FoldMetrics, FoldRun, aggregate, save_reports
 from ppgemo.models import build
 from ppgemo.training import TrainLog
@@ -240,6 +240,47 @@ def test_loso_rejects_unknown_names_before_training(synth_dir, config_file, tmp_
     out = tmp_path / "loso"
     assert _loso(synth_dir, config_file, out, variants, targets) == 1
     assert not list(out.rglob("fold_*.json"))
+
+
+def test_single_class_subject_and_short_record_through_the_cli(tmp_path):
+    # S01's trials all share one label, so its folds have no AUC; one of
+    # S02's two class-0 trials is cut below one 600-sample window, so it has
+    # no segments and S02 keeps both classes
+    source = tmp_path / "synth"
+    assert main(["synth", "--out", str(source), "--subjects", "4", "--trials", "3",
+                 "--duration", "65", "--fs", "10", "--seed", "4"]) == 0
+    records = []
+    short = None
+    for r in load_canonical(source).records:
+        if r.subject_id == "S01":
+            r = replace(r, valence=1, arousal=1)
+        elif r.subject_id == "S02" and r.valence == 0 and short is None:
+            short = (r.subject_id, r.trial_id)
+            r = replace(r, samples=r.samples[:500])
+        records.append(r)
+    dataset = tmp_path / "data"
+    save_canonical(Dataset("edge", records), dataset)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+
+    pre = tmp_path / "pre"
+    assert main(["preprocess", "--dataset", str(dataset), "--out", str(pre),
+                 "--config", str(config)]) == 0
+    summary = json.loads((pre / "summary.json").read_text())
+    assert (summary["n_records"], summary["n_segments"], summary["n_records_skipped"]) == (12, 11, 1)
+    counts = {(r["subject_id"], r["trial_id"]): r["segments"] for r in summary["per_record"]}
+    assert [key for key, n in counts.items() if n == 0] == [short]
+
+    out = tmp_path / "loso"
+    assert _loso(dataset, config, out, "cnn", "valence,arousal", "2") == 0
+    report = json.loads((out / "report.json").read_text())["cnn"]
+    for target in ("valence", "arousal"):
+        folds = [json.loads((out / "cnn" / target / f"fold_S0{i}.json").read_text())["metrics"]
+                 for i in range(1, 5)]
+        assert folds[0]["auc"] is None
+        defined = [f["auc"] for f in folds[1:]]
+        assert None not in defined
+        assert report["means"][target]["auc"] == float(np.mean(defined))
 
 
 def test_report_command_renders_table(tmp_path):

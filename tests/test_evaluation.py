@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import brute_force_auc, oracle_accuracy, oracle_f1, oracle_weighted_f1
 
-from ppgemo.errors import ConfigError, DataError, MetricUndefinedError, ShapeError
+from ppgemo.errors import ConfigError, DataError, ShapeError
 from ppgemo.evaluation import (
     FoldMetrics,
     accuracy,
@@ -50,13 +50,15 @@ class TestAccuracy:
     def test_two_thirds(self):
         assert accuracy([1, 0, 1], [1, 1, 1]) == pytest.approx(2 / 3)
 
-    def test_empty_errors(self):
+    @pytest.mark.parametrize("metric", [accuracy, auc], ids=["accuracy", "auc"])
+    def test_empty_errors(self, metric):
         with pytest.raises(DataError):
-            accuracy([], [])
+            metric([], [])
 
-    def test_length_mismatch(self):
+    @pytest.mark.parametrize("metric", [accuracy, auc], ids=["accuracy", "auc"])
+    def test_length_mismatch(self, metric):
         with pytest.raises(ShapeError):
-            accuracy([1, 0], [1])
+            metric([1, 0], [1])
 
 
 class TestF1:
@@ -124,8 +126,7 @@ class TestAuc:
         assert auc([0.5] * 6, [0, 1, 0, 1, 0, 1]) == 0.5
 
     def test_single_class_undefined(self):
-        with pytest.raises(MetricUndefinedError):
-            auc([0.1, 0.9], [1, 1])
+        assert auc([0.1, 0.9], [1, 1]) is None
 
     def test_matches_brute_force_including_ties(self, rng):
         for _ in range(1000):

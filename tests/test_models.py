@@ -131,8 +131,33 @@ def test_load_rejects_unknown_manifest_format(rng, tmp_path):
 
 def test_wrong_input_length_names_stage(rng):
     model = build(SMALL, rng)
-    with pytest.raises(ShapeError, match="stage input"):
+    with pytest.raises(ShapeError) as err:
         model.forward(np.zeros((1, 100, 1)))
+    assert str(err.value) == "Model expected [batch, 240, 1], got (1, 100, 1)"
+
+
+def test_wrong_input_rank_names_the_model(rng):
+    model = build(SMALL, rng)
+    with pytest.raises(ShapeError) as err:
+        model.forward(np.zeros((240, 1)))
+    assert str(err.value) == "Model expected [batch, 240, 1], got (240, 1)"
+
+
+def test_bad_mode_fails_before_any_layer_runs(rng, monkeypatch):
+    model = build(SMALL, rng)
+    ran = []
+    for path, layer in walk(model):
+        monkeypatch.setattr(layer, "forward", lambda *a, path=path, **k: ran.append(path))
+    with pytest.raises(ConfigError, match="mode"):
+        model.forward(np.zeros((1, 240, 1)), "eval")
+    assert ran == []
+
+
+def test_integer_input_gives_float64_probabilities(rng):
+    model = build(SMALL, rng)
+    probs = model.forward(np.zeros((2, 240, 1), dtype=np.int64), "train", rng)
+    assert probs.dtype == np.float64
+    assert probs.shape == (2, 2)
 
 
 def test_unknown_variant_rejected():
