@@ -150,9 +150,6 @@ def cmd_import_ppge(args) -> int:
 def cmd_preprocess(args) -> int:
     cfg = resolve_run_config(args)
     dataset = data_io.load_canonical(cfg.dataset)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     segments = []
     skipped = 0
     per_record = []
@@ -164,6 +161,10 @@ def cmd_preprocess(args) -> int:
             {"subject_id": record.subject_id, "trial_id": record.trial_id, "segments": len(segs)}
         )
         segments.extend(segs)
+
+    # made only now, so a record that fails to preprocess leaves no directory
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     if segments:
         np.savez(
             out / "segments.npz",

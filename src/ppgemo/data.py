@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_count
+from .errors import DataError, check_count, check_real
 
 log = logging.getLogger(__name__)
 
@@ -48,8 +48,8 @@ class PpgRecord:
     arousal: int
 
     def __post_init__(self):
-        if self.fs_hz <= 0:
-            raise DataError(f"fs_hz must be positive, got {self.fs_hz}")
+        if not 0 < self.fs_hz < math.inf:
+            raise DataError(f"fs_hz must be positive and finite, got {self.fs_hz}")
         if self.trial_id < 1:
             raise DataError(f"trial_id must be >= 1, got {self.trial_id}")
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -210,6 +210,9 @@ def import_ppge(raw_path, out_path, threshold: float = 5.0, fs_hz: float = 100.0
     Writes the canonical dataset plus an import_log.json recording every
     label conversion, and returns the loaded Dataset.
     """
+    # at 1 every rating maps to 1; above 9 none does
+    check_real("threshold", threshold, "(1, 9]")
+    check_real("fs_hz", fs_hz, "(0, inf)")
     raw = Path(raw_path)
     ratings = raw / RATINGS_NAME
     if not ratings.exists():
@@ -297,13 +300,8 @@ class SynthSpec:
     def __post_init__(self):
         check_count("n_subjects", self.n_subjects)
         check_count("trials_per_subject", self.trials_per_subject)
-        if self.fs_hz <= 0:
-            raise ConfigError(f"fs_hz must be positive, got {self.fs_hz}")
-        if self.duration_s < MIN_SYNTH_WINDOW_S:
-            raise ConfigError(
-                f"duration_s must cover one {MIN_SYNTH_WINDOW_S:.0f}-s window, "
-                f"got {self.duration_s}"
-            )
+        check_real("fs_hz", self.fs_hz, "(0, inf)")
+        check_real("duration_s", self.duration_s, f"[{MIN_SYNTH_WINDOW_S:g}, inf)")
 
 
 def _synth_signal(spec: SynthSpec, rng: np.random.Generator, cls: int) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package, and the one count check."""
+"""Exception hierarchy shared across the package, and the one check for each
+kind of setting: a count, a real number in an interval, a name from a list."""
 
 import numbers
 
@@ -31,3 +32,24 @@ def check_count(name: str, value) -> None:
     """Reject anything but an integer >= 1: a Python or numpy integer, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def check_real(name: str, value, interval: str) -> None:
+    """Reject anything but a real number in `interval`: a Python or numpy real,
+    not a bool and not NaN. `interval` is written as the message shows it,
+    such as "[0, 1)" or "(0, inf)"."""
+    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (lo <= value if interval[0] == "[" else lo < value)
+        or not (value <= hi if interval[-1] == "]" else value < hi)
+    ):
+        raise ConfigError(f"{name} must be a number in {interval}, got {value!r}")
+
+
+def check_choice(name: str, value, choices: tuple):
+    """`value` if it is one of `choices`."""
+    if value not in choices:
+        raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
+    return value

@@ -17,14 +17,13 @@ from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, DataError, DivergenceError, ShapeError
+from .errors import ConfigError, DataError, DivergenceError, ShapeError, check_choice
 from .models import Model, ModelConfig, build
 from .signals import FilterSpec, Segment, SegmenterSpec, preprocess_record
 from .training import (
     TARGETS,
     TrainConfig,
     TrainLog,
-    check_target,
     make_validation_split,
     predict_proba,
     segments_to_arrays,
@@ -192,7 +191,7 @@ def aggregate(folds_by_target: dict[str, list[FoldMetrics]]) -> EvalReport:
     if not folds_by_target:
         raise DataError("no fold results to aggregate")
     for target in folds_by_target:
-        check_target(target)
+        check_choice("target", target, TARGETS)
     if len(folds_by_target) == 2:
         subjects = {
             t: sorted(r.test_subject for r in rows) for t, rows in folds_by_target.items()
@@ -351,7 +350,7 @@ def check_run(model_config: ModelConfig, sspec: SegmenterSpec, variants, targets
     the window, before a run loads or preprocesses anything. Returns the
     model config of each variant and the targets, each name once."""
     model_configs = {v: replace(model_config, variant=v) for v in variants}
-    targets = [check_target(t) for t in dict.fromkeys(targets)]
+    targets = [check_choice("target", t, TARGETS) for t in dict.fromkeys(targets)]
     if model_config.input_len != sspec.window_samples:
         raise ConfigError(
             f"model input_len {model_config.input_len} does not match the "

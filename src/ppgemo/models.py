@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_count
+from .errors import ConfigError, check_choice, check_count, check_real
 from .nn.layers import (
     BatchNorm1d,
     Conv1d,
@@ -63,12 +63,10 @@ class ModelConfig:
     variant: str = "cnn_tcn_lstm"
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        check_choice("variant", self.variant, VARIANTS)
         for name in ("input_len", "pool_size", "lstm_units"):
             check_count(name, getattr(self, name))
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        check_real("dropout", self.dropout, "[0, 1)")
 
 
 def model_config_to_dict(config: ModelConfig) -> dict:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import ConfigError, ShapeError, StateError, check_count
+from ..errors import ConfigError, ShapeError, StateError, check_choice, check_count, check_real
 
 MODES = ("train", "infer")
 PADDINGS = ("same", "causal")
@@ -82,8 +82,7 @@ def check_input(owner, x, mode, shape):
     """`x` as float64, after checking `mode` and that `x` has the axes of
     `shape`: a string entry names a free axis, an integer fixes its size.
     `shape` None checks no axes. Errors name `owner`'s class."""
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    check_choice("mode", mode, MODES)
     x = np.asarray(x, dtype=np.float64)
     if shape is not None and (
         x.ndim != len(shape)
@@ -171,12 +170,8 @@ class Conv1dSpec:
     def __post_init__(self):
         for name in ("filters", "kernel_size", "stride"):
             check_count(name, getattr(self, name))
-        if self.padding not in PADDINGS:
-            raise ConfigError(f"padding must be one of {PADDINGS}, got {self.padding!r}")
-        if self.activation not in CONV_ACTIVATIONS:
-            raise ConfigError(
-                f"activation must be one of {CONV_ACTIVATIONS}, got {self.activation!r}"
-            )
+        check_choice("padding", self.padding, PADDINGS)
+        check_choice("activation", self.activation, CONV_ACTIVATIONS)
         if self.padding == "causal" and self.stride != 1:
             raise ConfigError("causal padding supports stride 1 only")
 
@@ -423,8 +418,7 @@ class Dropout(Layer):
 
     def __init__(self, rate: float):
         super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ConfigError(f"rate must be in [0, 1), got {rate}")
+        check_real("rate", rate, "[0, 1)")
         self.rate = rate
 
     def forward(self, x, mode="train", rng=None, drawn=None):

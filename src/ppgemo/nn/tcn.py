@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, check_count
+from ..errors import ConfigError, check_count, check_real
 from .layers import Conv1d, Conv1dSpec, Dropout, Layer, check_input
 
 
@@ -45,8 +45,7 @@ class TcnSpec:
             raise ConfigError(
                 f"dilations must be ascending, each dividing the next, got {self.dilations}"
             )
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        check_real("dropout_rate", self.dropout_rate, "[0, 1)")
         # tuples survive dataclasses.replace / JSON round-trips as lists
         object.__setattr__(self, "dilations", tuple(self.dilations))
 

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_count
+from .errors import ConfigError, DataError, check_count, check_real
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import PpgRecord
@@ -40,18 +40,10 @@ class FilterSpec:
 
     def __post_init__(self):
         check_count("order", self.order)
-        if self.low_hz <= 0:
-            raise ConfigError(f"low_hz must be positive, got {self.low_hz}")
-        if self.high_hz <= self.low_hz:
-            raise ConfigError(
-                f"high_hz must exceed low_hz, got high_hz={self.high_hz} "
-                f"low_hz={self.low_hz}"
-            )
-        if self.high_hz >= self.fs_hz / 2:
-            raise ConfigError(
-                f"high_hz must stay below the Nyquist frequency "
-                f"{self.fs_hz / 2}, got high_hz={self.high_hz}"
-            )
+        check_real("fs_hz", self.fs_hz, "(0, inf)")
+        check_real("low_hz", self.low_hz, "(0, inf)")
+        # between the low edge and the Nyquist frequency
+        check_real("high_hz", self.high_hz, f"({self.low_hz}, {self.fs_hz / 2})")
 
 
 @dataclass(frozen=True)
@@ -63,15 +55,9 @@ class SegmenterSpec:
     fs_hz: float = 100.0
 
     def __post_init__(self):
-        if self.overlap_s < 0:
-            raise ConfigError(f"overlap_s must be >= 0, got {self.overlap_s}")
-        if self.overlap_s >= self.window_s:
-            raise ConfigError(
-                f"overlap_s must be smaller than window_s, got "
-                f"overlap_s={self.overlap_s} window_s={self.window_s}"
-            )
-        if self.fs_hz <= 0:
-            raise ConfigError(f"fs_hz must be positive, got {self.fs_hz}")
+        check_real("window_s", self.window_s, "(0, inf)")
+        check_real("overlap_s", self.overlap_s, f"[0, {self.window_s})")
+        check_real("fs_hz", self.fs_hz, "(0, inf)")
         if self.window_samples < 2:
             raise ConfigError(
                 f"window_s*fs_hz must cover at least 2 samples, got "

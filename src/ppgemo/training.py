@@ -12,7 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DivergenceError, ShapeError, check_count
+from .errors import (
+    ConfigError,
+    DataError,
+    DivergenceError,
+    ShapeError,
+    check_choice,
+    check_count,
+    check_real,
+)
 from .signals import Segment
 
 TARGETS = ("valence", "arousal")
@@ -23,12 +31,6 @@ PROB_FLOOR = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-def check_target(target: str) -> str:
-    if target not in TARGETS:
-        raise ConfigError(f"target must be one of {TARGETS}, got {target!r}")
-    return target
 
 
 @dataclass(frozen=True)
@@ -47,13 +49,8 @@ class TrainConfig:
                 f"patience must be in (0, max_epochs), got patience={self.patience} "
                 f"max_epochs={self.max_epochs}"
             )
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 < self.val_fraction_subjects < 1.0:
-            raise ConfigError(
-                f"val_fraction_subjects must be in (0, 1), got "
-                f"{self.val_fraction_subjects}"
-            )
+        check_real("learning_rate", self.learning_rate, "(0, inf)")
+        check_real("val_fraction_subjects", self.val_fraction_subjects, "(0, 1)")
 
 
 @dataclass
@@ -196,7 +193,7 @@ def make_validation_split(train_subjects, config: TrainConfig, seed) -> tuple[li
 
 def segments_to_arrays(segments: list[Segment], target: str) -> tuple[np.ndarray, np.ndarray]:
     """Stack segments into [N, W, 1] inputs and an [N] label vector."""
-    check_target(target)
+    check_choice("target", target, TARGETS)
     if not segments:
         raise DataError("no segments to convert")
     x = np.stack([s.samples for s in segments]).astype(np.float64, copy=False)[:, :, None]

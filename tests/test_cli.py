@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -415,6 +416,10 @@ def test_bad_run_fails_before_preprocessing(
         ([], {"target": ["valence"]}, "'target' must be a comma-separated string"),
         ([], {"model": {**CONFIG["model"], "lstm_units": 4.5}},
          "lstm_units must be an integer >= 1, got 4.5"),
+        (["--learning-rate", "nan"], {},
+         "error: learning_rate must be a number in (0, inf), got nan"),
+        ([], {"train": {**CONFIG["train"], "learning_rate": True}},
+         "error: learning_rate must be a number in (0, inf), got True"),
     ],
 )
 def test_bad_run_setting_fails_before_anything_is_written(
@@ -425,6 +430,49 @@ def test_bad_run_setting_fails_before_anything_is_written(
     argv = ["loso", "--dataset", str(synth_dir), "--out", str(tmp_path / "out"), "--config",
             str(path), *flags]
     assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+DATA_COMMAND_FAILURES = {
+    "synth-duration-nan": (
+        ["synth", "--out", "{out}", "--duration", "nan"],
+        {},
+        "error: duration_s must be a number in [60, inf), got nan",
+    ),
+    "import-threshold-nan": (
+        ["import-ppge", "--raw", "{raw}", "--out", "{out}", "--threshold", "nan"],
+        {},
+        "error: threshold must be a number in (1, 9], got nan",
+    ),
+    "preprocess-overlap-nan": (
+        ["preprocess", "--dataset", "{data}", "--config", "{config}", "--out", "{out}"],
+        {"segmenter": {**CONFIG["segmenter"], "overlap_s": math.nan}},
+        "error: overlap_s must be a number in [0, 60.0), got nan",
+    ),
+    # both specs agree on 20 Hz, so only the 10 Hz records disagree
+    "preprocess-rate-mismatch": (
+        ["preprocess", "--dataset", "{data}", "--config", "{config}", "--out", "{out}"],
+        {
+            "filter": {**CONFIG["filter"], "fs_hz": 20.0},
+            "segmenter": {**CONFIG["segmenter"], "fs_hz": 20.0},
+        },
+        "error: record S01/trial 1 sampled at 10.0 Hz",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DATA_COMMAND_FAILURES)
+def test_bad_data_setting_fails_before_anything_is_written(synth_dir, tmp_path, capsys, case):
+    argv, file_values, message = DATA_COMMAND_FAILURES[case]
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "ratings.csv").write_text("subject_id,trial_id,valence,arousal\nS01,1,3,7\n")
+    (raw / "S01_1.csv").write_text("0.5\n-0.5\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, **file_values}))
+    paths = {"out": tmp_path / "out", "raw": raw, "data": synth_dir, "config": config}
+    assert main([arg.format(**paths) for arg in argv]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

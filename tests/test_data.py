@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from oracles import brute_force_auc, dominant_peak_hz, hr_variability_stat
@@ -106,6 +108,15 @@ class TestCanonicalRoundTrip:
         text = manifest.read_text().replace("s1,1,100.0,1,0", "s1,1,100.0,7,0")
         manifest.write_text(text)
         with pytest.raises(DataError, match="binary"):
+            load_canonical(tmp_path)
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "0.0"])
+    def test_rate_must_be_positive_and_finite(self, tmp_path, rate):
+        save_canonical(Dataset("x", _records(1, 1)), tmp_path)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(manifest.read_text().replace("s1,1,100.0,", f"s1,1,{rate},"))
+        message = f"manifest.csv row 2: fs_hz must be positive and finite, got {rate}"
+        with pytest.raises(DataError, match=re.escape(message)):
             load_canonical(tmp_path)
 
     def test_duplicate_manifest_row(self, tmp_path):
