@@ -313,3 +313,81 @@ class TestRound2:
         assert round2(0.675) == 0.68
         assert round2(0.665) == 0.67
         assert round2(0.664999) == 0.66
+
+
+def _folds(acc, auc):
+    return [
+        fold("s1", accuracy=acc, f1_class0=acc - 0.1, f1_class1=acc + 0.1, weighted_f1=acc + 0.01, auc=auc),
+        fold("s2", accuracy=acc + 0.05, f1_class0=acc, f1_class1=acc, weighted_f1=acc, auc=auc),
+    ]
+
+
+MD_HEADER = (
+    "| Model | Test Accuracy | F1-score class 0 | F1-score class 1 | weighted F1 | AUC |\n"
+    "|---|---|---|---|---|---|\n"
+)
+CSV_HEADER = "section,model,accuracy,f1_class0,f1_class1,weighted_f1,auc\n"
+
+
+class TestTableBytes:
+    """The exact CSV and markdown of three report shapes."""
+
+    def test_three_variants_two_targets_with_an_undefined_auc(self):
+        reports = {
+            "cnn": aggregate({"valence": _folds(0.6, None), "arousal": _folds(0.55, 0.7)}),
+            "cnn_lstm": aggregate({"valence": _folds(0.62, 0.64), "arousal": _folds(0.58, 0.61)}),
+            "cnn_tcn_lstm": aggregate({"valence": _folds(0.7, 0.72), "arousal": _folds(0.66, 0.69)}),
+        }
+        assert render_csv(reports) == CSV_HEADER + (
+            "valence,CNN,0.63,0.55,0.65,0.61,n/a\n"
+            "valence,CNN-LSTM,0.65,0.57,0.67,0.63,0.64\n"
+            "valence,CNN-TCN-LSTM,0.73,0.65,0.75,0.71,0.72\n"
+            "arousal,CNN,0.58,0.50,0.60,0.56,0.70\n"
+            "arousal,CNN-LSTM,0.61,0.53,0.63,0.59,0.61\n"
+            "arousal,CNN-TCN-LSTM,0.69,0.61,0.71,0.67,0.69\n"
+            "average,CNN,0.60,0.53,0.63,0.58,n/a\n"
+            "average,CNN-LSTM,0.63,0.55,0.65,0.61,0.63\n"
+            "average,CNN-TCN-LSTM,0.71,0.63,0.73,0.69,0.71\n"
+        )
+        assert render_markdown(reports) == (
+            "### Valence only\n" + MD_HEADER
+            + "| CNN | 0.63 | 0.55 | 0.65 | 0.61 | n/a |\n"
+            "| CNN-LSTM | 0.65 | 0.57 | 0.67 | 0.63 | 0.64 |\n"
+            "| CNN-TCN-LSTM | 0.73 | 0.65 | 0.75 | 0.71 | 0.72 |\n"
+            "\n"
+            "### Arousal only\n" + MD_HEADER
+            + "| CNN | 0.58 | 0.50 | 0.60 | 0.56 | 0.70 |\n"
+            "| CNN-LSTM | 0.61 | 0.53 | 0.63 | 0.59 | 0.61 |\n"
+            "| CNN-TCN-LSTM | 0.69 | 0.61 | 0.71 | 0.67 | 0.69 |\n"
+            "\n"
+            "### Average of Valence and Arousal\n" + MD_HEADER
+            + "| CNN | 0.60 | 0.53 | 0.63 | 0.58 | n/a |\n"
+            "| CNN-LSTM | 0.63 | 0.55 | 0.65 | 0.61 | 0.63 |\n"
+            "| CNN-TCN-LSTM | 0.71 | 0.63 | 0.73 | 0.69 | 0.71 |\n"
+        )
+
+    def test_variant_without_arousal_drops_the_average_section(self):
+        reports = {
+            "cnn": aggregate({"valence": _folds(0.6, 0.65)}),
+            "cnn_lstm": aggregate({"valence": _folds(0.62, 0.64), "arousal": _folds(0.58, 0.61)}),
+        }
+        assert render_csv(reports) == CSV_HEADER + (
+            "valence,CNN,0.63,0.55,0.65,0.61,0.65\n"
+            "valence,CNN-LSTM,0.65,0.57,0.67,0.63,0.64\n"
+            "arousal,CNN-LSTM,0.61,0.53,0.63,0.59,0.61\n"
+        )
+        assert render_markdown(reports) == (
+            "### Valence only\n" + MD_HEADER
+            + "| CNN | 0.63 | 0.55 | 0.65 | 0.61 | 0.65 |\n"
+            "| CNN-LSTM | 0.65 | 0.57 | 0.67 | 0.63 | 0.64 |\n"
+            "\n"
+            "### Arousal only\n" + MD_HEADER
+            + "| CNN-LSTM | 0.61 | 0.53 | 0.63 | 0.59 | 0.61 |\n"
+        )
+
+    def test_unknown_variant_keeps_its_name(self):
+        reports = {"my_net": aggregate({"arousal": _folds(0.5, 0.5)})}
+        assert render_csv(reports) == CSV_HEADER + "arousal,my_net,0.53,0.45,0.55,0.51,0.50\n"
+        assert render_markdown(reports) == (
+            "### Arousal only\n" + MD_HEADER + "| my_net | 0.53 | 0.45 | 0.55 | 0.51 | 0.50 |\n"
+        )
