@@ -302,6 +302,8 @@ class SynthSpec:
         check_count("trials_per_subject", self.trials_per_subject)
         check_real("fs_hz", self.fs_hz, "(0, inf)")
         check_real("duration_s", self.duration_s, f"[{MIN_SYNTH_WINDOW_S:g}, inf)")
+        # the record's sample count; too few leaves nothing to filter or window
+        check_real("duration_s * fs_hz", self.duration_s * self.fs_hz, "[2, inf)")
 
 
 def _synth_signal(spec: SynthSpec, rng: np.random.Generator, cls: int) -> np.ndarray:

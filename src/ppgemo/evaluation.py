@@ -13,11 +13,12 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
+from itertools import groupby
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, DataError, DivergenceError, ShapeError, check_choice
+from .errors import ConfigError, DataError, PpgEmoError, ShapeError, check_choice
 from .models import Model, ModelConfig, build
 from .signals import FilterSpec, Segment, SegmenterSpec, preprocess_record
 from .training import (
@@ -34,9 +35,15 @@ log = logging.getLogger(__name__)
 
 METRIC_FIELDS = ("accuracy", "f1_class0", "f1_class1", "weighted_f1", "macro_f1", "auc")
 
-# Table column order and row labels used by the renderers.
-TABLE_COLUMNS = ("accuracy", "f1_class0", "f1_class1", "weighted_f1", "auc")
-TABLE_HEADERS = ("Test Accuracy", "F1-score class 0", "F1-score class 1", "weighted F1", "AUC")
+# The published table: its columns (metric -> header), row labels and
+# sections, each in the order the table shows them.
+TABLE_COLUMNS = {
+    "accuracy": "Test Accuracy",
+    "f1_class0": "F1-score class 0",
+    "f1_class1": "F1-score class 1",
+    "weighted_f1": "weighted F1",
+    "auc": "AUC",
+}
 VARIANT_LABELS = {"cnn": "CNN", "cnn_lstm": "CNN-LSTM", "cnn_tcn_lstm": "CNN-TCN-LSTM"}
 SECTION_LABELS = {
     "valence": "Valence only",
@@ -169,19 +176,17 @@ def evaluate_fold(model, test_segments, target: str) -> FoldMetrics:
 
 
 def _mean_metrics(rows: list[FoldMetrics]) -> dict[str, float | None]:
+    """Each metric's mean over the folds that define it; None if none does."""
     out = {}
     for name in METRIC_FIELDS:
-        values = [getattr(r, name) for r in rows]
-        if name == "auc":
-            defined = [v for v in values if v is not None]
-            if len(defined) < len(values):
-                log.warning(
-                    "excluding %d fold(s) with undefined AUC from the mean",
-                    len(values) - len(defined),
-                )
-            out[name] = float(np.mean(defined)) if defined else None
-        else:
-            out[name] = float(np.mean(values))
+        defined = [v for r in rows if (v := getattr(r, name)) is not None]
+        if len(defined) < len(rows):
+            log.warning(
+                "excluding %d fold(s) with undefined %s from the mean",
+                len(rows) - len(defined),
+                TABLE_COLUMNS.get(name, name),
+            )
+        out[name] = float(np.mean(defined)) if defined else None
     return out
 
 
@@ -248,53 +253,38 @@ def load_reports(path) -> dict[str, EvalReport]:
         raise DataError(f"cannot read report file {path}: {type(exc).__name__}: {exc}") from None
 
 
-def _table_rows(reports: dict[str, EvalReport]):
-    """(section, variant, values) rows in the published table's order."""
-    sections = []
-    targets_present = set()
-    for r in reports.values():
-        targets_present.update(r.means)
-    for t in ("valence", "arousal"):
-        if t in targets_present:
-            sections.append(t)
-    if all(r.average is not None for r in reports.values()) and reports:
-        sections.append("average")
+def _table_rows(reports: dict[str, EvalReport]) -> list[tuple[str, list[str]]]:
+    """(section, cells) rows in the published table's order: sections in
+    SECTION_LABELS order, the average only when every variant has one, and
+    the cells a variant's label then its formatted values."""
     rows = []
-    for section in sections:
+    for section in SECTION_LABELS:
+        if section == "average" and any(r.average is None for r in reports.values()):
+            continue
         for variant, report in reports.items():
             values = report.average if section == "average" else report.means.get(section)
             if values is None:
                 continue
-            rows.append((section, variant, [values[c] for c in TABLE_COLUMNS]))
-    return sections, rows
-
-
-def _fmt(v: float | None) -> str:
-    return "n/a" if v is None else f"{round2(v):.2f}"
+            cells = [VARIANT_LABELS.get(variant, variant)]
+            for c in TABLE_COLUMNS:
+                cells.append("n/a" if values[c] is None else f"{round2(values[c]):.2f}")
+            rows.append((section, cells))
+    return rows
 
 
 def render_csv(reports: dict[str, EvalReport]) -> str:
-    lines = ["section,model," + ",".join(TABLE_COLUMNS)]
-    for section, variant, values in _table_rows(reports)[1]:
-        label = VARIANT_LABELS.get(variant, variant)
-        lines.append(f"{section},{label}," + ",".join(_fmt(v) for v in values))
+    lines = [",".join(["section", "model", *TABLE_COLUMNS])]
+    lines += [",".join([section, *cells]) for section, cells in _table_rows(reports)]
     return "\n".join(lines) + "\n"
 
 
 def render_markdown(reports: dict[str, EvalReport]) -> str:
-    sections, rows = _table_rows(reports)
+    header = "| " + " | ".join(["Model", *TABLE_COLUMNS.values()]) + " |"
+    rule = "|" + "---|" * (len(TABLE_COLUMNS) + 1)
     out = []
-    header = "| Model | " + " | ".join(TABLE_HEADERS) + " |"
-    rule = "|" + "---|" * (len(TABLE_HEADERS) + 1)
-    for section in sections:
-        out.append(f"### {SECTION_LABELS[section]}")
-        out.append(header)
-        out.append(rule)
-        for sec, variant, values in rows:
-            if sec != section:
-                continue
-            label = VARIANT_LABELS.get(variant, variant)
-            out.append(f"| {label} | " + " | ".join(_fmt(v) for v in values) + " |")
+    for section, rows in groupby(_table_rows(reports), key=lambda row: row[0]):
+        out += [f"### {SECTION_LABELS[section]}", header, rule]
+        out += ["| " + " | ".join(cells) + " |" for _, cells in rows]
         out.append("")
     return "\n".join(out)
 
@@ -380,7 +370,8 @@ def run_loso(
     subject; `jobs` tasks run at once, across variants and targets. Fold
     RNGs depend only on (seed, fold, target), so a variant's results do
     not depend on `jobs` or on the other variants; a repeated name runs once.
-    Returns the runs in (variant, target, fold) order.
+    A fold's error keeps its type and is prefixed with the fold's variant,
+    target and test subject. Returns the runs in (variant, target, fold) order.
     """
     model_configs, targets = check_run(model_config, sspec, variants, targets)
     by_subject = segments_by_subject(dataset.records, fspec, sspec)
@@ -390,14 +381,14 @@ def run_loso(
 
     def run_one(variant: str, target: str, i: int, train_subjects, test_subject: str) -> FoldRun:
         fseed = fold_seed_for(seed, i, target)
-        fit, val = make_validation_split(train_subjects, train_config, fseed)
         try:
+            fit, val = make_validation_split(train_subjects, train_config, fseed)
             model, tlog = fit_model(
                 by_subject, fit, val, model_configs[variant], train_config, fseed, target
             )
-        except DivergenceError as exc:
-            raise DivergenceError(f"{variant} {target}, test subject {test_subject}: {exc}") from None
-        metrics = evaluate_fold(model, by_subject[test_subject], target)
+            metrics = evaluate_fold(model, by_subject[test_subject], target)
+        except PpgEmoError as exc:
+            raise type(exc)(f"{variant} {target}, test subject {test_subject}: {exc}") from None
         log.info(
             "%s fold %s/%s target=%s: acc=%.3f auc=%s (stopped at epoch %d)",
             variant,

@@ -203,17 +203,23 @@ class Model:
 
     @classmethod
     def load(cls, path) -> "Model":
-        with open(path) as fh:
-            manifest = json.load(fh)
-        fmt = manifest.get("format")
-        if fmt not in (MANIFEST_FORMAT, LEGACY_MANIFEST_FORMAT):
-            raise ConfigError(f"unsupported model manifest format {fmt!r}")
-        config = model_config_from_dict(manifest["config"])
+        try:
+            with open(path) as fh:
+                manifest = json.load(fh)
+            fmt = manifest.get("format")
+            if fmt not in (MANIFEST_FORMAT, LEGACY_MANIFEST_FORMAT):
+                raise ConfigError(f"unsupported model manifest format {fmt!r}")
+            config = model_config_from_dict(manifest["config"])
+            stored = {}
+            for section in ("params", "buffers"):
+                for k, v in manifest[section].items():
+                    stored[k] = np.asarray(v["data"], dtype=np.float64).reshape(v["shape"])
+        # unreadable, not JSON, or not the layout save writes
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(
+                f"cannot read model manifest {path}: {type(exc).__name__}: {exc}"
+            ) from None
         model = build(config, np.random.default_rng(0))
-        stored = {}
-        for section in ("params", "buffers"):
-            for k, v in manifest[section].items():
-                stored[k] = np.asarray(v["data"], dtype=np.float64).reshape(v["shape"])
         if fmt == LEGACY_MANIFEST_FORMAT:
             seen = float(bool(manifest.get("bn_initialized")))
             for k in model.buffers():

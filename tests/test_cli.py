@@ -440,6 +440,21 @@ DATA_COMMAND_FAILURES = {
         {},
         "error: duration_s must be a number in [60, inf), got nan",
     ),
+    "synth-samples-overflow": (
+        ["synth", "--out", "{out}", "--duration", "1e308", "--fs", "100"],
+        {},
+        "error: duration_s * fs_hz must be a number in [2, inf), got inf",
+    ),
+    "synth-no-sample": (
+        ["synth", "--out", "{out}", "--duration", "60", "--fs", "0.001"],
+        {},
+        "error: duration_s * fs_hz must be a number in [2, inf), got 0.06",
+    ),
+    "synth-one-sample": (
+        ["synth", "--out", "{out}", "--duration", "60", "--fs", "0.02"],
+        {},
+        "error: duration_s * fs_hz must be a number in [2, inf), got 1.2",
+    ),
     "import-threshold-nan": (
         ["import-ppge", "--raw", "{raw}", "--out", "{out}", "--threshold", "nan"],
         {},
@@ -516,6 +531,33 @@ def test_loso_diverged_run_fails_before_writing_results(
     ) in capsys.readouterr().err
     assert not list(out.rglob("fold_*.json"))
     assert not list(out.glob("report.*"))
+
+
+@pytest.mark.parametrize(
+    "subjects, one_class, message",
+    [
+        # S01 holds only class 1; testing S02 leaves it alone in the fit set
+        (3, "S01", "error: cnn valence, test subject S02: class 0 absent from labels; "
+                   "cannot train on one class"),
+        (2, None, "error: cnn valence, test subject S01: need at least 2 training subjects "
+                  "to split, got 1"),
+    ],
+    ids=["one-class-fit-set", "two-subjects"],
+)
+def test_loso_fold_failure_names_its_fold(
+    tmp_path, config_file, capsys, subjects, one_class, message
+):
+    source = tmp_path / "synth"
+    assert main(["synth", "--out", str(source), "--subjects", str(subjects), "--trials", "2",
+                 "--duration", "65", "--fs", "10", "--seed", "4"]) == 0
+    records = [replace(r, valence=1, arousal=1) if r.subject_id == one_class else r
+               for r in load_canonical(source).records]
+    dataset = tmp_path / "data"
+    save_canonical(Dataset("edge", records), dataset)
+    out = tmp_path / "loso"
+    assert _loso(dataset, config_file, out, "cnn") == 1
+    assert message in capsys.readouterr().err
+    assert not list(out.rglob("fold_*.json"))
 
 
 def test_train_diverged_run_leaves_no_output_directory(

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -327,6 +328,41 @@ def test_load_rejects_arrays_that_do_not_fit(edit, message, rng, tmp_path):
     manifest = json.loads(path.read_text())
     edit(manifest)
     path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match=message):
+        Model.load(path)
+
+
+def _truncate(text):
+    return text[: len(text) // 2]
+
+
+def _drop_config(text):
+    manifest = json.loads(text)
+    del manifest["config"]
+    return json.dumps(manifest)
+
+
+def _short_conv1_bias(text):
+    manifest = json.loads(text)
+    manifest["params"]["trunk.conv1.b"]["data"] = [0.5]  # its shape stays [4]
+    return json.dumps(manifest)
+
+
+@pytest.mark.parametrize(
+    "edit, kind",
+    [
+        (_truncate, "JSONDecodeError"),
+        (_drop_config, "KeyError"),
+        (_short_conv1_bias, "ValueError"),
+        (lambda text: "[1, 2]", "AttributeError"),
+    ],
+    ids=["truncated", "no-config", "data-shorter-than-shape", "json-list"],
+)
+def test_load_names_a_manifest_it_cannot_read(edit, kind, rng, tmp_path):
+    path = tmp_path / "model.json"
+    build(SMALL, rng).save(path)
+    path.write_text(edit(path.read_text()))
+    message = f"^cannot read model manifest {re.escape(str(path))}: {kind}: "
     with pytest.raises(ConfigError, match=message):
         Model.load(path)
 
