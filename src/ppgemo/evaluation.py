@@ -229,7 +229,10 @@ def _metric_row(row: dict) -> dict[str, float | None]:
 
 
 def report_from_dict(d: dict) -> EvalReport:
-    """One variant's EvalReport; a means or average row holds a number or None per metric."""
+    """One variant's EvalReport; a means or average row holds a number or None
+    per metric, and every target key is one of TARGETS."""
+    for t in [*d["folds"], *d["means"]]:
+        check_choice("target", t, TARGETS)
     return EvalReport(
         folds={t: [FoldMetrics(**r) for r in rows] for t, rows in d["folds"].items()},
         means={t: _metric_row(row) for t, row in d["means"].items()},
@@ -249,7 +252,7 @@ def load_reports(path) -> dict[str, EvalReport]:
             payload = json.load(fh)
         return {v: report_from_dict(d) for v, d in payload.items()}
     # unreadable, not JSON, or not the layout save_reports writes
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:
         raise DataError(f"cannot read report file {path}: {type(exc).__name__}: {exc}") from None
 
 

@@ -1,8 +1,8 @@
 """The three evaluated architectures, assembled from the layer primitives.
 
-All variants share the same convolutional trunk (conv -> pool -> batchnorm
--> dropout, twice) so that performance differences are attributable to the
-branch structure alone:
+All variants share the same convolutional trunk (conv -> relu -> pool ->
+batchnorm -> dropout, twice; the relu runs inside the pool) so that
+performance differences are attributable to the branch structure alone:
 
     cnn           trunk -> global max over time -> dense(2, softmax)
     cnn_lstm      trunk -> LSTM (last state)     -> dense(2, softmax)
@@ -235,10 +235,12 @@ def build(config: ModelConfig, rng: np.random.Generator) -> Model:
     trunk = []
     ch = 1  # raw PPG is the single input channel
     for idx, conv in ((1, config.conv1), (2, config.conv2)):
-        spec = Conv1dSpec(conv.filters, conv.kernel_size, conv.stride, "same", "relu")
+        spec = Conv1dSpec(conv.filters, conv.kernel_size, conv.stride, "same", "none")
         # no layer reads the raw signal's gradient
         trunk.append((f"conv{idx}", Conv1d(ch, spec, rng, input_grad=idx > 1)))
-        trunk.append((f"pool{idx}", MaxPool1d(config.pool_size)))
+        # the conv's relu, applied to the pooled maxima (relu commutes with
+        # max), so neither stage keeps a float copy for backward
+        trunk.append((f"pool{idx}", MaxPool1d(config.pool_size, relu=True)))
         trunk.append((f"bn{idx}", BatchNorm1d(conv.filters)))
         trunk.append((f"drop{idx}", Dropout(config.dropout)))
         ch = conv.filters

@@ -96,9 +96,26 @@ def relative_error(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarra
     return worst
 
 
-def _layer_case(layer, x, loss_rng_seed=None):
+def maxpool_margin(x, window=None, relu=False) -> float:
+    """Distance from `x` [batch, time, channels] to the nearest kink of a max
+    pool over windows of `window` steps (None: the whole time axis): the
+    smallest gap between a window's two largest values and, with `relu`,
+    the smallest |maximum|. The pools' tapes hold only masks, so the margin
+    comes from the input."""
+    bsz, t, c = x.shape
+    size = t if window is None else window
+    windows = x[:, : t // size * size].reshape(bsz, -1, size, c)
+    top = np.sort(windows, axis=2)
+    margin = float((top[:, :, -1] - top[:, :, -2]).min()) if size > 1 else np.inf
+    if relu:
+        margin = min(margin, float(np.abs(top[:, :, -1]).min()))
+    return margin
+
+
+def _layer_case(layer, x, loss_rng_seed=None, margin=np.inf):
     """Project the layer output onto a fixed random direction; that makes
-    the upstream gradient the projection itself."""
+    the upstream gradient the projection itself. The case's margin is the
+    smaller of `margin` and the layer's own."""
 
     def run_forward():
         rng = None if loss_rng_seed is None else np.random.default_rng(loss_rng_seed)
@@ -116,7 +133,7 @@ def _layer_case(layer, x, loss_rng_seed=None):
         return {"x": dx, **layer.named_grads()}
 
     arrays = {"x": x, **layer.named_params()}
-    return Case(arrays, loss, analytic, layer.kink_margin())
+    return Case(arrays, loss, analytic, min(margin, layer.kink_margin()))
 
 
 def _btc(rng, t, b=(1, 4), c=(1, 5)):
@@ -138,15 +155,15 @@ def _case_conv(rng, padding):
 def _case_maxpool(rng):
     b, t, c = _btc(rng, (3, 17))
     pool = int(rng.integers(1, min(t, 4) + 1))
-    layer = MaxPool1d(pool)
+    relu = bool(rng.random() < 0.5)
     x = rng.standard_normal((b, t, c))
-    return _layer_case(layer, x)
+    return _layer_case(MaxPool1d(pool, relu), x, margin=maxpool_margin(x, pool, relu))
 
 
 def _case_global_maxpool(rng):
     b, t, c = _btc(rng, (2, 17))
     x = rng.standard_normal((b, t, c))
-    return _layer_case(GlobalMaxPool(), x)
+    return _layer_case(GlobalMaxPool(), x, margin=maxpool_margin(x))
 
 
 def _case_batchnorm(rng):

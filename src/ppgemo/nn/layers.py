@@ -17,7 +17,11 @@ Randomness is never ambient: layers that need it take an explicit
 ``numpy.random.Generator``. Layers take their hyperparameters as
 constructor arguments; only ``Conv1d`` bundles its five in a spec.
 
-Only train-mode forwards record a tape; infer-mode forwards keep none.
+Only train-mode forwards record a tape; infer-mode forwards keep none. A
+tape holds what backward reads and nothing larger: masks, not float copies,
+for relu convs (``z > 0``), max pools and dropout. ``MaxPool1d(relu=True)``
+is set by ``models.build`` only: the trunk's conv -> relu -> pool becomes a
+linear conv and a relu pool, as relu commutes with max.
 
 Layers form a tree: ``sublayers()`` lists a layer's parts as ``(name,
 layer)`` pairs (``[]`` for a leaf). A layer keeps only its own arrays in
@@ -121,7 +125,8 @@ class Layer:
 
     def kink_margin(self) -> float:
         """Distance from the last forward pass to the nearest point where
-        the layer tree is not differentiable (relu corner, pooling tie).
+        the layer tree is not differentiable (a relu corner; pooling ties
+        are measured from the pool's input, see gradcheck.maxpool_margin).
         Used by the finite-difference checker to reject ill-posed cases."""
         return min([self.own_kink_margin()] + [sub.own_kink_margin() for _, sub in walk(self)])
 
@@ -157,6 +162,18 @@ def _unfolded(a, k, first=0, stride=1):
     for b0 in range(0, a.shape[0], rows):
         sl = slice(b0, b0 + rows)
         yield sl, win[sl].reshape(-1, width)
+
+
+def _padded(a, left, right):
+    """`a` [batch, time, channels] with `left` and `right` zero rows added on
+    the time axis: np.pad's result without its per-call overhead. Only the
+    pad rows are zeroed, so the rows of `a` are written once."""
+    t = a.shape[1]
+    out = np.empty((a.shape[0], left + t + right, a.shape[2]))
+    out[:, :left] = 0.0
+    out[:, left + t :] = 0.0
+    out[:, left : left + t] = a
+    return out
 
 
 @dataclass(frozen=True)
@@ -234,33 +251,40 @@ class Conv1d(Layer):
     def forward(self, x, mode="train", rng=None, start=0, step=1):
         x = check_input(self, x, mode, ("batch", "time", self.in_channels))
         spec = self.spec
-        k, s, f = spec.kernel_size, spec.stride, spec.filters
-        bsz, t, _ = x.shape
-        t_out = self.output_len(t)
+        k, s = spec.kernel_size, spec.stride
+        t = x.shape[1]
         if spec.padding == "same":
-            pad = max((t_out - 1) * s + k - t, 0)
+            pad = max((self.output_len(t) - 1) * s + k - t, 0)
             left = pad // 2
             right = pad - left
         else:
             left = k - 1
             right = 0
-        xp = np.pad(x, ((0, 0), (left, right), (0, 0)))
+        xp = _padded(x, left, right)
+        z = self._preactivation(xp, t, start, step)
+        if spec.activation == "relu":
+            self._record(mode, xp, z > 0.0, t, left, start, step)
+            return np.maximum(z, 0.0, out=z)
+        self._record(mode, xp, None, t, left, start, step)
+        return z
+
+    def _preactivation(self, xp, t, start, step):
+        """Output rows start, start + step, ... before the activation, from
+        the padded input `xp` of a `t`-step input."""
+        k, s, f = self.spec.kernel_size, self.spec.stride, self.spec.filters
         w = self.params["W"].reshape(-1, f)
-        z = np.empty((bsz, len(range(start, t_out, step)), f))
+        z = np.empty((xp.shape[0], len(range(start, self.output_len(t), step)), f))
         for sl, cols in _unfolded(xp, k, start * s, s * step):
             np.matmul(cols, w, out=z[sl].reshape(-1, f))
         z += self.params["b"]
-        self._record(mode, xp, z, t, left, start, step)
-        if spec.activation == "relu":
-            return np.maximum(z, 0.0)
         return z
 
     def backward(self, dy):
-        xp, z, t, left, start, step = self._tape()
+        xp, live, t, left, start, step = self._tape()
         spec = self.spec
         k, s, f = spec.kernel_size, spec.stride, spec.filters
-        if spec.activation == "relu":
-            dy = dy * (z > 0.0)
+        if live is not None:
+            dy = dy * live
         w = self.params["W"]
         dw = np.zeros((k * self.in_channels, f))
         # output row i read xp[first + i*stride_in + j] through tap j
@@ -273,7 +297,7 @@ class Conv1d(Layer):
         n = dy.shape[1]
         pad = -(-k // stride_in) - 1  # phase 0 has the most taps
         # rebinding frees the relu-masked copy
-        dy = np.pad(dy, ((0, 0), (pad, pad), (0, 0)))
+        dy = _padded(dy, pad, pad)
         dxp = np.zeros_like(xp)
         for r in range(min(stride_in, k)):
             taps = w[r::stride_in][::-1]
@@ -286,71 +310,89 @@ class Conv1d(Layer):
         return dxp[:, left : left + t, :]
 
     def own_kink_margin(self) -> float:
+        """The smallest |z| of the last train forward's relu, recomputed from
+        its tape: the tape keeps only z > 0, and a production step never
+        needs the margin."""
         if self._cache is None or self.spec.activation != "relu":
             return np.inf
-        z = self._cache[1]
+        xp, _, t, _, start, step = self._cache
+        z = self._preactivation(xp, t, start, step)
         return float(np.abs(z).min()) if z.size else np.inf
 
 
 class MaxPool1d(Layer):
     """Per-channel maximum over non-overlapping windows; trailing samples
-    that cannot fill a window are dropped.
+    that cannot fill a window are dropped. With relu=True (set by
+    `models.build` only) the maxima then pass through relu, which equals
+    pooling relu(x), since relu commutes with max.
 
-    Forward computes only the maxima. Backward sends each window's gradient
-    to the first element equal to its maximum, the one argmax would pick."""
+    Forward folds np.maximum over the windows' strided slots, noting where
+    each slot beats every slot before it. Backward sends each window's
+    gradient to its first maximum, the one argmax would pick: the last
+    slot that beat all earlier ones, else slot 0. With relu, windows whose
+    maximum is not positive send none."""
 
-    def __init__(self, pool_size: int):
+    def __init__(self, pool_size: int, relu: bool = False):
         super().__init__()
         check_count("pool_size", pool_size)
         self.pool = pool_size
-
-    def _windows(self, a):
-        """View of `a` [batch, time, channels] as [batch, windows, window, channels]."""
-        bsz, t, c = a.shape
-        n = t // self.pool
-        return a[:, : n * self.pool, :].reshape(bsz, n, self.pool, c)
+        self.relu = relu
 
     def forward(self, x, mode="train", rng=None):
         x = check_input(self, x, mode, ("batch", "time", "channels"))
-        if x.shape[1] < self.pool:
-            raise ShapeError(f"time axis {x.shape[1]} shorter than pool window {self.pool}")
-        out = self._windows(x).max(axis=2)
-        self._record(mode, x, out)
+        p = self.pool
+        if x.shape[1] < p:
+            raise ShapeError(f"time axis {x.shape[1]} shorter than pool window {p}")
+        end = x.shape[1] // p * p
+        slots = [x[:, j:end:p] for j in range(p)]
+        beats = []  # beats[j - 1]: slot j is above every slot before it
+        out = slots[0]
+        for slot in slots[1:]:
+            beats.append(slot > out)
+            out = np.maximum(out, slot)
+        if p == 1:  # out is still a view of x
+            out = out.copy()
+        live = None
+        if self.relu:
+            live = out > 0.0
+            np.maximum(out, 0.0, out=out)
+        self._record(mode, beats, live, x.shape)
         return out
 
     def backward(self, dy):
-        x, out = self._tape()
-        arg = (self._windows(x) == out[:, :, None, :]).argmax(axis=2, keepdims=True)
-        dx = np.zeros_like(x)
-        # windows do not overlap, so each input takes at most one gradient
-        np.put_along_axis(self._windows(dx), arg, dy[:, :, None, :], axis=2)
+        beats, live, shape = self._tape()
+        p = self.pool
+        end = shape[1] // p * p
+        # dy * live, not a masked copy: a non-finite dy stays non-finite, as
+        # through the conv relu's dy * (z > 0)
+        g = dy if live is None else dy * live
+        dx = np.zeros(shape)
+        rest = np.ones(dy.shape, dtype=bool)  # windows not yet routed
+        for j in range(p - 1, 0, -1):
+            np.copyto(dx[:, j:end:p], g, where=beats[j - 1] & rest)
+            rest &= ~beats[j - 1]
+        np.copyto(dx[:, 0:end:p], g, where=rest)
         return dx
 
-    def own_kink_margin(self) -> float:
-        if self._cache is None:
-            return np.inf
-        windows = self._windows(self._cache[0])
-        if windows.shape[2] < 2:
-            return np.inf
-        top2 = np.sort(windows, axis=2)[:, :, -2:, :]
-        return float((top2[:, :, 1, :] - top2[:, :, 0, :]).min())
 
-
-class GlobalMaxPool(MaxPool1d):
-    """Maximum over the time axis: [batch, time, channels] -> [batch, channels];
-    a max pool whose one window is the whole sequence."""
-
-    def __init__(self):
-        super().__init__(1)
-
-    def _windows(self, a):
-        return a[:, None]
+class GlobalMaxPool(Layer):
+    """Maximum over the time axis: [batch, time, channels] -> [batch, channels].
+    Backward sends each gradient to the first maximum, the one argmax picks."""
 
     def forward(self, x, mode="train", rng=None):
-        return super().forward(x, mode, rng)[:, 0]
+        x = check_input(self, x, mode, ("batch", "time", "channels"))
+        if x.shape[1] < 1:
+            raise ShapeError("GlobalMaxPool needs a non-empty time axis")
+        out = x.max(axis=1)
+        first = (x == out[:, None]).argmax(axis=1) if mode == "train" else None
+        self._record(mode, first, x.shape)
+        return out
 
     def backward(self, dy):
-        return super().backward(dy[:, None])
+        first, shape = self._tape()
+        dx = np.zeros(shape)
+        np.put_along_axis(dx, first[:, None], dy[:, None], axis=1)
+        return dx
 
 
 class BatchNorm1d(Layer):
@@ -377,9 +419,14 @@ class BatchNorm1d(Layer):
     def forward(self, x, mode="train", rng=None):
         x = check_input(self, x, mode, ("batch", "time", self.channels))
         buf = self.buffers
+        n = x.shape[0] * x.shape[1]
         if mode == "train":
-            mean = x.mean(axis=(0, 1))
-            var = x.var(axis=(0, 1))
+            # x.mean and x.var as numpy's _mean and _var compute them, bit
+            # for bit, with the centred copy kept for xhat
+            mean = x.sum(axis=(0, 1), keepdims=True) / n
+            xhat = x - mean
+            var = np.square(xhat).sum(axis=(0, 1)) / n
+            mean = mean[0, 0]
             # in-place so external references to the buffers stay live;
             # the first batch seeds the running stats outright, otherwise
             # inference is biased toward the arbitrary 0/1 init for the
@@ -395,11 +442,13 @@ class BatchNorm1d(Layer):
                 raise StateError(
                     "batchnorm inference requested before any training batch"
                 )
-            mean, var = buf["running_mean"], buf["running_var"]
+            var = buf["running_var"]
+            xhat = x - buf["running_mean"]
         inv = 1.0 / np.sqrt(var + BN_EPSILON)
-        xhat = (x - mean) * inv
-        out = self.params["gamma"] * xhat + self.params["beta"]
-        self._record(mode, xhat, inv, x.shape[0] * x.shape[1])
+        xhat *= inv
+        out = self.params["gamma"] * xhat
+        out += self.params["beta"]
+        self._record(mode, xhat, inv, n)
         return out
 
     def backward(self, dy):
@@ -427,19 +476,26 @@ class Dropout(Layer):
         the whole sequence. The mask is drawn for all `time` steps, as a
         forward over the whole sequence draws it, and cut to `rows`."""
         x = check_input(self, x, mode, None)
-        scale = None
+        keep = None
         if mode == "train" and self.rate > 0.0:
             if rng is None:
                 raise StateError("dropout in train mode needs an explicit rng")
             time, rows = drawn or (x.shape[1], slice(None))
             full = rng.random((x.shape[0], time, *x.shape[2:])) >= self.rate
-            scale = full[:, rows] / (1.0 - self.rate)
-        self._record(mode, scale)
-        return x if scale is None else x * scale
+            # a copy only when rows cut the draw, so the tape keeps no more
+            keep = np.ascontiguousarray(full[:, rows])
+        self._record(mode, keep)
+        return x if keep is None else self._scaled(x, keep)
 
     def backward(self, dy):
-        (scale,) = self._tape()
-        return dy if scale is None else dy * scale
+        (keep,) = self._tape()
+        return dy if keep is None else self._scaled(dy, keep)
+
+    def _scaled(self, a, keep):
+        """a * keep / (1 - rate), rounded as a * (keep / (1 - rate)) is."""
+        out = a * keep
+        out *= 1.0 / (1.0 - self.rate)
+        return out
 
 
 class Dense(Layer):

@@ -1,12 +1,17 @@
 """Independent reference implementations used only to check the package.
 
 These stay deliberately naive (direct formulas, brute-force loops) so they
-share no code path with what they verify.
+share no code path with what they verify. The float-tape layers at the end
+are the exception: they are the package's layers before their tapes held
+masks, kept as the bit-exact reference for that rewrite.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from ppgemo.nn import Conv1dSpec
+from ppgemo.nn import BatchNorm1d, Conv1d, Conv1dSpec, Dropout, MaxPool1d
+from ppgemo.nn.layers import BN_EPSILON, BN_MOMENTUM
 
 
 def sos_magnitude_db(sos, f_hz, fs_hz):
@@ -227,3 +232,106 @@ def _dropout_scale(shape, rate, mode, rng):
     if mode != "train" or rate == 0.0:
         return np.ones(shape)
     return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+# -- float-tape layers ---------------------------------------------------------
+# The trunk and TCN layers as they were before their tapes held masks: a relu
+# conv keeps its pre-activation z, a max pool its input and output, dropout
+# its float scale, and batch norm takes x.mean and x.var. float_tape_model
+# swaps them into a built model, so a train step through them is the
+# reference the mask tapes must reproduce bit for bit.
+
+
+class FloatTapeReluConv(Conv1d):
+    """A linear Conv1d, then relu, with z on the tape."""
+
+    def forward(self, x, mode="train", rng=None, start=0, step=1):
+        z = super().forward(x, mode, rng, start, step)
+        self.z = z if mode == "train" else None
+        return np.maximum(z, 0.0)
+
+    def backward(self, dy):
+        return super().backward(dy * (self.z > 0.0))
+
+
+class FloatTapeMaxPool(MaxPool1d):
+    def _windows(self, a):
+        bsz, t, c = a.shape
+        n = t // self.pool
+        return a[:, : n * self.pool, :].reshape(bsz, n, self.pool, c)
+
+    def forward(self, x, mode="train", rng=None):
+        out = self._windows(x).max(axis=2)
+        self._record(mode, x, out)
+        return out
+
+    def backward(self, dy):
+        x, out = self._tape()
+        arg = (self._windows(x) == out[:, :, None, :]).argmax(axis=2, keepdims=True)
+        dx = np.zeros_like(x)
+        np.put_along_axis(self._windows(dx), arg, dy[:, :, None, :], axis=2)
+        return dx
+
+
+class FloatTapeBatchNorm(BatchNorm1d):
+    def forward(self, x, mode="train", rng=None):
+        buf = self.buffers
+        if mode == "train":
+            mean = x.mean(axis=(0, 1))
+            var = x.var(axis=(0, 1))
+            m = BN_MOMENTUM if buf["seen_batch"] else 0.0
+            buf["running_mean"] *= m
+            buf["running_mean"] += (1.0 - m) * mean
+            buf["running_var"] *= m
+            buf["running_var"] += (1.0 - m) * var
+            buf["seen_batch"][...] = 1.0
+        else:
+            mean, var = buf["running_mean"], buf["running_var"]
+        inv = 1.0 / np.sqrt(var + BN_EPSILON)
+        xhat = (x - mean) * inv
+        out = self.params["gamma"] * xhat + self.params["beta"]
+        self._record(mode, xhat, inv, x.shape[0] * x.shape[1])
+        return out
+
+
+class FloatTapeDropout(Dropout):
+    def forward(self, x, mode="train", rng=None, drawn=None):
+        scale = None
+        if mode == "train" and self.rate > 0.0:
+            time, rows = drawn or (x.shape[1], slice(None))
+            full = rng.random((x.shape[0], time, *x.shape[2:])) >= self.rate
+            scale = full[:, rows] / (1.0 - self.rate)
+        self._record(mode, scale)
+        return x if scale is None else x * scale
+
+    def backward(self, dy):
+        (scale,) = self._tape()
+        return dy if scale is None else dy * scale
+
+
+def _float_tape(layer, relu_conv=False):
+    """`layer` itself, its class swapped for the float-tape one; it keeps its
+    parameters and buffers."""
+    if isinstance(layer, Conv1d):
+        if not relu_conv and layer.spec.activation != "relu":
+            return layer
+        layer.spec = replace(layer.spec, activation="none")
+        layer.__class__ = FloatTapeReluConv
+    else:
+        layer.__class__ = {
+            MaxPool1d: FloatTapeMaxPool,
+            BatchNorm1d: FloatTapeBatchNorm,
+            Dropout: FloatTapeDropout,
+        }[type(layer)]
+    return layer
+
+
+def float_tape_model(model):
+    """`model` with the float-tape layers in place of the mask-tape ones:
+    each trunk conv takes back its relu from the pool that follows it."""
+    model.trunk = [(name, _float_tape(layer, relu_conv=True)) for name, layer in model.trunk]
+    tcn = model.branches.get("tcn")
+    for block in [] if tcn is None else tcn.blocks:
+        for name in ("conv_a", "drop_a", "conv_b", "drop_b"):
+            setattr(block, name, _float_tape(getattr(block, name)))
+    return model

@@ -609,6 +609,19 @@ def test_unreadable_report_fails_with_a_message(tmp_path, capsys, content):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section", ["folds", "means"])
+def test_report_with_an_unknown_target_fails_naming_file_and_key(tmp_path, capsys, section):
+    entry = {"folds": {"valence": []}, "means": {"valence": ROW}, "average": None}
+    entry[section]["joy"] = entry[section].pop("valence")
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"cnn": entry}))
+    assert main(["report", "--report", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot read report file {path}" in err
+    assert "target must be one of ('valence', 'arousal'), got 'joy'" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["preprocess", "train", "loso"])
 def test_run_without_a_dataset_fails_before_anything_is_written(tmp_path, capsys, command):
     assert main([command, "--out", str(tmp_path / "out")]) == 1

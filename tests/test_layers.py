@@ -19,6 +19,7 @@ from ppgemo.nn import (
     TcnSpec,
     softmax,
 )
+from ppgemo.nn.gradcheck import maxpool_margin
 from ppgemo.nn.layers import BN_EPSILON
 from oracles import maxpool
 
@@ -154,6 +155,25 @@ class TestBatchNorm1d:
         np.testing.assert_allclose(bn.buffers["running_var"], x.var(axis=(0, 1)))
 
 
+@given(
+    shape=st.sampled_from([(750, 8), (187, 16)]),  # the two trunk batch norms' inputs
+    batch=st.integers(1, 4),
+    scale=st.floats(1e-3, 1e3),
+    offset=st.floats(-1e3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batchnorm_statistics_are_numpys_bit_for_bit(shape, batch, scale, offset, seed):
+    x = np.random.default_rng(seed).standard_normal((batch, *shape)) * scale + offset
+    bn = BatchNorm1d(shape[1])
+    bn.forward(x, "train")
+    # the first batch seeds the running stats outright
+    mean, var = x.mean(axis=(0, 1)), x.var(axis=(0, 1))
+    np.testing.assert_array_equal(bn.buffers["running_mean"], mean)
+    assert bn.buffers["running_var"].tobytes() == var.tobytes()
+    xhat = bn._cache[0]
+    assert xhat.tobytes() == ((x - mean) * (1.0 / np.sqrt(var + BN_EPSILON))).tobytes()
+
+
 class TestDropout:
     def test_rate_zero_is_identity(self, rng):
         drop = Dropout(0.0)
@@ -251,21 +271,29 @@ class TestGlobalMaxPool:
 def test_pools_match_oracle_on_ties(window, shape, relu, seed):
     # one-decimal values tie often and relu zeros tie more; the gradient of
     # a tied window must go to its first maximum. window None is GlobalMaxPool.
+    # With relu, a plain pool of relu(x) and, for MaxPool1d, a relu pool of x
+    # (the trunk's fused conv relu) must both match the oracle on relu(x).
     bsz, t, c = shape
     t = max(t, window or 1)
     rng = np.random.default_rng(seed)
     x = np.round(rng.standard_normal((bsz, t, c)), 1)
-    if relu:
-        x = np.maximum(x, 0.0)
+    rx = np.maximum(x, 0.0) if relu else x
     dy = rng.standard_normal((bsz, t // (window or t), c))
-    want_out, want_dx, want_margin = maxpool(x, dy, window)
+    want_out, want_dx, want_margin = maxpool(rx, dy, window)
+    assert maxpool_margin(rx, window) == want_margin
     if window is None:
         pool, want_out, dy = GlobalMaxPool(), want_out[:, 0], dy[:, 0]
     else:
         pool = MaxPool1d(window)
-    np.testing.assert_array_equal(pool.forward(x), want_out)
-    assert pool.kink_margin() == want_margin
+    np.testing.assert_array_equal(pool.forward(rx), want_out)
     np.testing.assert_array_equal(pool.backward(dy), want_dx)
+    if relu and window is not None:
+        fused = MaxPool1d(window, relu=True)
+        np.testing.assert_array_equal(fused.forward(x), want_out)
+        # the old conv relu's backward masked the routed gradient by x > 0
+        np.testing.assert_array_equal(fused.backward(dy), want_dx * (x > 0.0))
+        top, _, gap = maxpool(x, dy, window)
+        assert maxpool_margin(x, window, relu=True) == min(gap, float(np.abs(top).min()))
 
 
 class TestSpecValidation:

@@ -17,8 +17,9 @@ from ppgemo.models import (
     model_config_from_dict,
     model_config_to_dict,
 )
-from ppgemo.nn import Conv1d, Layer, TcnSpec, walk
-from ppgemo.training import predict_proba, weighted_cce_grad
+from ppgemo.nn import Conv1d, Dropout, MaxPool1d, TcnSpec, walk
+from ppgemo.training import AdamState, TrainConfig, adam_step, predict_proba, weighted_cce_grad
+from oracles import float_tape_model
 
 DATA = Path(__file__).parent / "data"
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -194,17 +195,16 @@ def test_every_parameter_receives_gradient(variant):
     assert not pending, f"parameters with all-zero gradients: {sorted(pending)}"
 
 
+def _tcn_dropouts(model):
+    """The TCN blocks' dropouts, which the walk skips."""
+    tcn = model.branches.get("tcn")
+    return [] if tcn is None else [b.drop_a for b in tcn.blocks] + [b.drop_b for b in tcn.blocks]
+
+
 def _holding_tapes(model):
     """Layers of `model` that still hold a tape, the TCN blocks' dropouts
     (which the walk skips) included."""
-    layers = [layer for _, layer in walk(model)]
-    if "tcn" in model.branches:
-        layers += [
-            sub
-            for block in model.branches["tcn"].blocks
-            for sub in vars(block).values()
-            if isinstance(sub, Layer)
-        ]
+    layers = [layer for _, layer in walk(model)] + _tcn_dropouts(model)
     return [layer for layer in layers if layer._cache is not None]
 
 
@@ -220,6 +220,66 @@ def test_backward_frees_every_tape(variant, rng):
         model.backward(dprobs)
     model.forward(x, "train", rng)
     model.backward(dprobs)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_mask_tapes_reproduce_the_float_tape_step(variant):
+    # paper shapes and one-decimal inputs, half of them held for 100 samples
+    # at a time so that equal conv windows tie in the pools; three seeded
+    # train steps, then an infer forward, through both tape kinds
+    config = ModelConfig(variant=variant)
+    masks = build(config, np.random.default_rng(0))
+    floats = float_tape_model(build(config, np.random.default_rng(0)))
+    states = [AdamState(model.params()) for model in (masks, floats)]
+    data = np.random.default_rng(1)
+    for step in range(3):
+        x = np.round(data.standard_normal((6, config.input_len, 1)), 1)
+        x[3:] = x[3:, ::100].repeat(100, axis=1)
+        onehot = np.eye(2)[[0, 1, 1, 0, 1, 0]]
+        got = []
+        for model, state in zip((masks, floats), states):
+            probs = model.forward(x, "train", np.random.default_rng([2, step]))
+            model.backward(weighted_cce_grad(probs, onehot, np.array([1.0, 1.5])))
+            grads = {k: g.copy() for k, g in model.grads().items()}
+            adam_step(model.params(), model.grads(), state, TrainConfig())
+            got.append((probs, grads, model.params(), model.buffers()))
+        (probs, grads, params, buffers), (want_probs, want_grads, want_params, want_buffers) = got
+        np.testing.assert_array_equal(probs, want_probs)
+        for have, want in ((grads, want_grads), (params, want_params), (buffers, want_buffers)):
+            assert have.keys() == want.keys()
+            for k in want:
+                np.testing.assert_array_equal(have[k], want[k], err_msg=f"step {step}: {k}")
+    x = np.round(data.standard_normal((5, config.input_len, 1)), 1)
+    np.testing.assert_array_equal(masks.forward(x, "infer"), floats.forward(x, "infer"))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_pool_dropout_and_relu_conv_tapes_hold_no_float_copy(variant, rng):
+    # each of these tapes holds a bool mask of its layer's output shape
+    model = build(ModelConfig(variant=variant), rng)
+    layers = [layer for _, layer in walk(model)] + _tcn_dropouts(model)
+    checked = [
+        layer
+        for layer in layers
+        if isinstance(layer, (MaxPool1d, Dropout))
+        or (isinstance(layer, Conv1d) and layer.spec.activation == "relu")
+    ]
+    assert len(checked) == {"cnn": 4, "cnn_lstm": 4, "cnn_tcn_lstm": 20}[variant]
+    model.forward(rng.standard_normal((4, 6000, 1)), "train", rng)
+    for layer in checked:
+        arrays = [a for a in _flat(layer._cache) if isinstance(a, np.ndarray)]
+        masks = [a for a in arrays if a.dtype == bool]
+        floats = [a for a in arrays if a.dtype != bool]
+        assert masks, type(layer).__name__
+        if isinstance(layer, Conv1d):  # its one float array is its padded input
+            assert len(floats) == 1 and floats[0].size != masks[0].size
+        else:
+            assert not floats, type(layer).__name__
+
+
+def _flat(tape):
+    for item in tape:
+        yield from _flat(item) if isinstance(item, (list, tuple)) else (item,)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
