@@ -238,9 +238,8 @@ def build(config: ModelConfig, rng: np.random.Generator) -> Model:
         spec = Conv1dSpec(conv.filters, conv.kernel_size, conv.stride, "same", "none")
         # no layer reads the raw signal's gradient
         trunk.append((f"conv{idx}", Conv1d(ch, spec, rng, input_grad=idx > 1)))
-        # the conv's relu, applied to the pooled maxima (relu commutes with
-        # max), so neither stage keeps a float copy for backward
-        trunk.append((f"pool{idx}", MaxPool1d(config.pool_size, relu=True)))
+        # the pool applies the conv's relu to its maxima
+        trunk.append((f"pool{idx}", MaxPool1d(config.pool_size)))
         trunk.append((f"bn{idx}", BatchNorm1d(conv.filters)))
         trunk.append((f"drop{idx}", Dropout(config.dropout)))
         ch = conv.filters

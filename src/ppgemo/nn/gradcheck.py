@@ -155,9 +155,8 @@ def _case_conv(rng, padding):
 def _case_maxpool(rng):
     b, t, c = _btc(rng, (3, 17))
     pool = int(rng.integers(1, min(t, 4) + 1))
-    relu = bool(rng.random() < 0.5)
     x = rng.standard_normal((b, t, c))
-    return _layer_case(MaxPool1d(pool, relu), x, margin=maxpool_margin(x, pool, relu))
+    return _layer_case(MaxPool1d(pool), x, margin=maxpool_margin(x, pool, relu=True))
 
 
 def _case_global_maxpool(rng):

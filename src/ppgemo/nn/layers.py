@@ -17,11 +17,11 @@ Randomness is never ambient: layers that need it take an explicit
 ``numpy.random.Generator``. Layers take their hyperparameters as
 constructor arguments; only ``Conv1d`` bundles its five in a spec.
 
-Only train-mode forwards record a tape; infer-mode forwards keep none. A
-tape holds what backward reads and nothing larger: masks, not float copies,
-for relu convs (``z > 0``), max pools and dropout. ``MaxPool1d(relu=True)``
-is set by ``models.build`` only: the trunk's conv -> relu -> pool becomes a
-linear conv and a relu pool, as relu commutes with max.
+Only train-mode forwards record a tape, or build the masks that go on
+it; infer-mode forwards keep none. A tape holds what backward reads and
+nothing larger: masks, not float copies, for relu convs (``z > 0``), max
+pools and dropout. ``MaxPool1d`` is relu then max: the trunk's conv ->
+relu -> pool is a linear conv and that pool, as relu commutes with max.
 
 Layers form a tree: ``sublayers()`` lists a layer's parts as ``(name,
 layer)`` pairs (``[]`` for a leaf). A layer keeps only its own arrays in
@@ -263,7 +263,8 @@ class Conv1d(Layer):
         xp = _padded(x, left, right)
         z = self._preactivation(xp, t, start, step)
         if spec.activation == "relu":
-            self._record(mode, xp, z > 0.0, t, left, start, step)
+            live = z > 0.0 if mode == "train" else None
+            self._record(mode, xp, live, t, left, start, step)
             return np.maximum(z, 0.0, out=z)
         self._record(mode, xp, None, t, left, start, step)
         return z
@@ -321,22 +322,21 @@ class Conv1d(Layer):
 
 
 class MaxPool1d(Layer):
-    """Per-channel maximum over non-overlapping windows; trailing samples
-    that cannot fill a window are dropped. With relu=True (set by
-    `models.build` only) the maxima then pass through relu, which equals
-    pooling relu(x), since relu commutes with max.
+    """Relu, then the per-channel maximum over non-overlapping windows;
+    trailing samples that cannot fill a window are dropped. This is the
+    trunk's conv relu and pool in one layer: relu commutes with max, so it
+    is applied to the maxima and neither stage keeps a float copy.
 
-    Forward folds np.maximum over the windows' strided slots, noting where
-    each slot beats every slot before it. Backward sends each window's
-    gradient to its first maximum, the one argmax would pick: the last
-    slot that beat all earlier ones, else slot 0. With relu, windows whose
-    maximum is not positive send none."""
+    Forward folds np.maximum over the windows' strided slots; in train mode
+    it notes where each slot beats every slot before it, and which maxima
+    are positive. Backward sends each window's gradient to its first
+    maximum, the one argmax would pick: the last slot that beat all earlier
+    ones, else slot 0. Windows whose maximum is not positive send none."""
 
-    def __init__(self, pool_size: int, relu: bool = False):
+    def __init__(self, pool_size: int):
         super().__init__()
         check_count("pool_size", pool_size)
         self.pool = pool_size
-        self.relu = relu
 
     def forward(self, x, mode="train", rng=None):
         x = check_input(self, x, mode, ("batch", "time", "channels"))
@@ -344,20 +344,17 @@ class MaxPool1d(Layer):
         if x.shape[1] < p:
             raise ShapeError(f"time axis {x.shape[1]} shorter than pool window {p}")
         end = x.shape[1] // p * p
-        slots = [x[:, j:end:p] for j in range(p)]
+        train = mode == "train"
         beats = []  # beats[j - 1]: slot j is above every slot before it
-        out = slots[0]
-        for slot in slots[1:]:
-            beats.append(slot > out)
+        out = x[:, 0:end:p]
+        for j in range(1, p):
+            slot = x[:, j:end:p]
+            if train:
+                beats.append(slot > out)
             out = np.maximum(out, slot)
-        if p == 1:  # out is still a view of x
-            out = out.copy()
-        live = None
-        if self.relu:
-            live = out > 0.0
-            np.maximum(out, 0.0, out=out)
-        self._record(mode, beats, live, x.shape)
-        return out
+        self._record(mode, beats, out > 0.0 if train else None, x.shape)
+        # with p = 1, out is still a view of x
+        return np.maximum(out, 0.0, out=None if p == 1 else out)
 
     def backward(self, dy):
         beats, live, shape = self._tape()
@@ -365,7 +362,7 @@ class MaxPool1d(Layer):
         end = shape[1] // p * p
         # dy * live, not a masked copy: a non-finite dy stays non-finite, as
         # through the conv relu's dy * (z > 0)
-        g = dy if live is None else dy * live
+        g = dy * live
         dx = np.zeros(shape)
         rest = np.ones(dy.shape, dtype=bool)  # windows not yet routed
         for j in range(p - 1, 0, -1):

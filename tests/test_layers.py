@@ -271,29 +271,29 @@ class TestGlobalMaxPool:
 def test_pools_match_oracle_on_ties(window, shape, relu, seed):
     # one-decimal values tie often and relu zeros tie more; the gradient of
     # a tied window must go to its first maximum. window None is GlobalMaxPool.
-    # With relu, a plain pool of relu(x) and, for MaxPool1d, a relu pool of x
-    # (the trunk's fused conv relu) must both match the oracle on relu(x).
+    # MaxPool1d is relu then max (the trunk's conv relu and pool), so it must
+    # match the oracle on relu(x), its gradient masked by x > 0 as the conv
+    # relu masked it. `relu` feeds both pools relu'd input, as the trunk's
+    # pool was fed before it took the relu over.
     bsz, t, c = shape
     t = max(t, window or 1)
     rng = np.random.default_rng(seed)
     x = np.round(rng.standard_normal((bsz, t, c)), 1)
-    rx = np.maximum(x, 0.0) if relu else x
+    if relu:
+        x = np.maximum(x, 0.0)
     dy = rng.standard_normal((bsz, t // (window or t), c))
-    want_out, want_dx, want_margin = maxpool(rx, dy, window)
-    assert maxpool_margin(rx, window) == want_margin
     if window is None:
+        want_out, want_dx, want_margin = maxpool(x, dy)
+        assert maxpool_margin(x) == want_margin
         pool, want_out, dy = GlobalMaxPool(), want_out[:, 0], dy[:, 0]
     else:
-        pool = MaxPool1d(window)
-    np.testing.assert_array_equal(pool.forward(rx), want_out)
-    np.testing.assert_array_equal(pool.backward(dy), want_dx)
-    if relu and window is not None:
-        fused = MaxPool1d(window, relu=True)
-        np.testing.assert_array_equal(fused.forward(x), want_out)
-        # the old conv relu's backward masked the routed gradient by x > 0
-        np.testing.assert_array_equal(fused.backward(dy), want_dx * (x > 0.0))
+        want_out, want_dx, _ = maxpool(np.maximum(x, 0.0), dy, window)
+        want_dx = want_dx * (x > 0.0)
         top, _, gap = maxpool(x, dy, window)
         assert maxpool_margin(x, window, relu=True) == min(gap, float(np.abs(top).min()))
+        pool = MaxPool1d(window)
+    np.testing.assert_array_equal(pool.forward(x), want_out)
+    np.testing.assert_array_equal(pool.backward(dy), want_dx)
 
 
 class TestSpecValidation:
