@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: synth, import-ppge, preprocess, train, loso, report,
-gradcheck. Every run echoes its effective configuration to
-<out>/run_config.json so results are reproducible from the artifacts
-alone. Exit codes: 0 success, 1 domain/validation failure, 2 usage error.
+gradcheck. preprocess, train and loso write asdict(RunConfig) to
+<out>/run_config.json, a config file that reruns the run. Exit codes: 0
+success, 1 domain/validation failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ TRAIN_FLAGS = {"max_epochs": int, "batch_size": int, "patience": int, "learning_
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective configuration of one run: specs, paths, and seeds."""
+    """Effective configuration of one run; its fields are the config file's top-level keys."""
 
     filter: FilterSpec
     segmenter: SegmenterSpec
@@ -39,19 +39,30 @@ class RunConfig:
     train: TrainConfig
     dataset: str
     out_dir: str
-    variants: tuple[str, ...]
-    targets: tuple[str, ...]
+    variant: str  # comma-separated names, as the config file and flags give them
+    target: str
     seed: int
     jobs: int
 
     def __post_init__(self):
-        if type(self.seed) is not int:  # not isinstance: a bool is an int too
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("dataset", "out_dir", "variant", "target"):
+            if not isinstance(getattr(self, name), str):
+                kind = "a comma-separated string" if name in ("variant", "target") else "a string"
+                raise ConfigError(f"'{name}' must be {kind}, got {getattr(self, name)!r}")
+        check_count("seed", self.seed, least=0)
         check_count("jobs", self.jobs)
         # checked here, where both specs meet, so every command checks it
         f, s = self.filter.fs_hz, self.segmenter.fs_hz
         if f != s:
             raise ConfigError(f"filter fs_hz {f} does not match the segmenter's fs_hz {s}")
+
+    @property
+    def variants(self) -> tuple[str, ...]:
+        return tuple(self.variant.split(","))
+
+    @property
+    def targets(self) -> tuple[str, ...]:
+        return tuple(self.target.split(","))
 
 
 def _make(cls, d: dict, section: str):
@@ -59,12 +70,6 @@ def _make(cls, d: dict, section: str):
         return cls(**d)
     except TypeError as exc:
         raise ConfigError(f"bad '{section}' section in config file: {exc}") from None
-
-
-def _names(value, key: str) -> tuple[str, ...]:
-    if not isinstance(value, str):
-        raise ConfigError(f"'{key}' must be a comma-separated string, got {value!r}")
-    return tuple(value.split(","))
 
 
 def resolve_run_config(args) -> RunConfig:
@@ -78,6 +83,9 @@ def resolve_run_config(args) -> RunConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
+        unknown = sorted(set(file_cfg) - {f.name for f in fields(RunConfig)})
+        if unknown:
+            raise ConfigError(f"config file {path} has unknown key(s) {unknown}")
         for name in ("filter", "segmenter", "model", "train"):
             if not isinstance(file_cfg.get(name, {}), dict):
                 raise ConfigError(f"'{name}' section in config file {path} must be an object")
@@ -99,11 +107,10 @@ def resolve_run_config(args) -> RunConfig:
     if not dataset:
         raise ConfigError(f"{args.command} needs --dataset (or 'dataset' in the config file)")
     out_dir = getattr(args, "out", None) or file_cfg.get("out_dir", "out")
-    variants = getattr(args, "variant", None) or file_cfg.get("variant", mcfg.variant)
-    targets = getattr(args, "target", None) or file_cfg.get("target", "valence")
-    variants, targets = _names(variants, "variant"), _names(targets, "target")
+    variant = getattr(args, "variant", None) or file_cfg.get("variant", mcfg.variant)
+    target = getattr(args, "target", None) or file_cfg.get("target", "valence")
 
-    return RunConfig(fspec, sspec, mcfg, tcfg, dataset, out_dir, variants, targets, seed, jobs)
+    return RunConfig(fspec, sspec, mcfg, tcfg, dataset, out_dir, variant, target, seed, jobs)
 
 
 def _dump_json(path: Path, payload) -> None:
@@ -219,11 +226,9 @@ def cmd_train(args) -> int:
     # made only now, so a run that fails in training leaves no directory
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "trainlog.jsonl", "w") as fh:
-        for row in tlog.to_records():
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    _dump_json(out / "train.json", dict(fit_subjects=fit, val_subjects=val, train_log=asdict(tlog)))
     model.save(out / "model.json")
-    _dump_json(out / "run_config.json", {**asdict(cfg), "fit_subjects": fit, "val_subjects": val})
+    _dump_json(out / "run_config.json", asdict(cfg))
     print(
         f"trained {mcfg.variant} on {sum(len(by_subject[s]) for s in fit)} segments; best epoch "
         f"{tlog.best_epoch} (val_acc {tlog.val_acc[tlog.best_epoch - 1]:.3f})"

@@ -36,6 +36,12 @@ SIGNALS_DIR = "signals"
 MIN_SYNTH_WINDOW_S = 60.0
 
 
+def check_subject_id(subject_id: str) -> None:
+    """A subject id names files and is an item of the CLI's comma-separated lists."""
+    if not subject_id or "/" in subject_id or "," in subject_id:
+        raise DataError(f"subject_id must be non-empty, without '/' or ',', got {subject_id!r}")
+
+
 @dataclass
 class PpgRecord:
     """One trial's raw samples with identity and binary labels."""
@@ -48,6 +54,7 @@ class PpgRecord:
     arousal: int
 
     def __post_init__(self):
+        check_subject_id(self.subject_id)
         if not 0 < self.fs_hz < math.inf:
             raise DataError(f"fs_hz must be positive and finite, got {self.fs_hz}")
         if self.trial_id < 1:
@@ -226,6 +233,7 @@ def import_ppge(raw_path, out_path, threshold: float = 5.0, fs_hz: float = 100.0
             raise DataError(f"{ratings}: missing column(s) {sorted(missing)}")
         for rowno, row in enumerate(reader, start=2):
             try:
+                check_subject_id(row["subject_id"])  # before a signal file is looked up by it
                 rows.append(
                     (
                         row["subject_id"],
@@ -234,7 +242,7 @@ def import_ppge(raw_path, out_path, threshold: float = 5.0, fs_hz: float = 100.0
                         float(row["arousal"]),
                     )
                 )
-            except ValueError as exc:
+            except (ValueError, DataError) as exc:
                 raise DataError(f"{ratings} row {rowno}: {exc}") from None
     if not rows:
         raise DataError(f"{ratings}: no trials listed")
@@ -300,6 +308,7 @@ class SynthSpec:
     def __post_init__(self):
         check_count("n_subjects", self.n_subjects)
         check_count("trials_per_subject", self.trials_per_subject)
+        check_count("seed", self.seed, least=0)
         check_real("fs_hz", self.fs_hz, "(0, inf)")
         check_real("duration_s", self.duration_s, f"[{MIN_SYNTH_WINDOW_S:g}, inf)")
         # the record's sample count; too few leaves nothing to filter or window

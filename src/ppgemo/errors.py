@@ -28,10 +28,10 @@ class DivergenceError(PpgEmoError):
     """Training produced a non-finite loss or gradient."""
 
 
-def check_count(name: str, value) -> None:
-    """Reject anything but an integer >= 1: a Python or numpy integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+def check_count(name: str, value, least: int = 1) -> None:
+    """Reject anything but a non-bool Python or numpy integer >= `least` (a seed's is 0)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def check_real(name: str, value, interval: str) -> None:

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import StateError
+from ..errors import StateError, check_count
 from .layers import (
     BatchNorm1d,
     Conv1d,
@@ -242,6 +242,8 @@ FAMILIES = {
 
 
 def check_family(name: str, cases: int = 20, seed: int = 0) -> CheckResult:
+    check_count("cases", cases)
+    check_count("seed", seed, least=0)
     draw = FAMILIES[name]
     family_rng = np.random.default_rng([seed, sorted(FAMILIES).index(name)])
     worst = 0.0

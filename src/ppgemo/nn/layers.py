@@ -450,12 +450,16 @@ class BatchNorm1d(Layer):
 
     def backward(self, dy):
         xhat, inv, n = self._tape()
-        g = self.params["gamma"]
-        dgamma = (dy * xhat).sum(axis=(0, 1))
+        dx = dy * xhat
+        dgamma = dx.sum(axis=(0, 1))
         dbeta = dy.sum(axis=(0, 1))
         self.grads = {"gamma": dgamma, "beta": dbeta}
         # batch statistics depend on every element, hence the centering terms
-        return (g * inv) * (dy - dbeta / n - xhat * (dgamma / n))
+        np.subtract(dy, dbeta / n, out=dx)
+        xhat *= dgamma / n  # _tape() handed xhat over, so it is scaled in place
+        dx -= xhat
+        dx *= self.params["gamma"] * inv
+        return dx
 
 
 class Dropout(Layer):

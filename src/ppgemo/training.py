@@ -70,27 +70,6 @@ class TrainLog:
     stop_epoch: int = 0
     class_weights: list[float] = field(default_factory=list)
 
-    def to_records(self) -> list[dict]:
-        rows = [
-            {
-                "epoch": i + 1,
-                "train_loss": self.train_loss[i],
-                "train_acc": self.train_acc[i],
-                "val_acc": self.val_acc[i],
-            }
-            for i in range(len(self.train_loss))
-        ]
-        rows.append(
-            {
-                "summary": {
-                    "best_epoch": self.best_epoch,
-                    "stop_epoch": self.stop_epoch,
-                    "class_weights": self.class_weights,
-                }
-            }
-        )
-        return rows
-
 
 def compute_class_weights(labels) -> np.ndarray:
     """Inverse-frequency weights w_c = N / (2 * n_c) for binary labels."""

@@ -237,7 +237,8 @@ def _dropout_scale(shape, rate, mode, rng):
 # -- float-tape layers ---------------------------------------------------------
 # The trunk and TCN layers as they were before their tapes held masks: a relu
 # conv keeps its pre-activation z, a max pool its input and output, dropout
-# its float scale, and batch norm takes x.mean and x.var. float_tape_model
+# its float scale, and batch norm takes x.mean and x.var and builds a new
+# array for each term of its backward. float_tape_model
 # swaps them into a built model, so a train step through them is the
 # reference the mask tapes must reproduce bit for bit.
 
@@ -292,6 +293,14 @@ class FloatTapeBatchNorm(BatchNorm1d):
         out = self.params["gamma"] * xhat + self.params["beta"]
         self._record(mode, xhat, inv, x.shape[0] * x.shape[1])
         return out
+
+    def backward(self, dy):
+        xhat, inv, n = self._tape()
+        g = self.params["gamma"]
+        dgamma = (dy * xhat).sum(axis=(0, 1))
+        dbeta = dy.sum(axis=(0, 1))
+        self.grads = {"gamma": dgamma, "beta": dbeta}
+        return (g * inv) * (dy - dbeta / n - xhat * (dgamma / n))
 
 
 class FloatTapeDropout(Dropout):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ppgemo import cli, evaluation
-from ppgemo.cli import main, resolve_run_config
+from ppgemo.cli import RunConfig, main, resolve_run_config
 from ppgemo.errors import ConfigError
 from ppgemo.data import Dataset, load_canonical, save_canonical
 from ppgemo.evaluation import FoldMetrics, FoldRun, aggregate, save_reports
@@ -120,12 +120,13 @@ def test_train_with_explicit_split(synth_dir, config_file, tmp_path):
         ]
     )
     assert code == 0
-    lines = (out / "trainlog.jsonl").read_text().splitlines()
-    summary = json.loads(lines[-1])["summary"]
-    assert summary["stop_epoch"] <= 4
+    record = json.loads((out / "train.json").read_text())
+    assert (record["fit_subjects"], record["val_subjects"]) == (["S01", "S02"], ["S03"])
+    assert set(record["train_log"]) == {f.name for f in fields(TrainLog)}
+    assert record["train_log"]["stop_epoch"] <= 4
     assert (out / "model.json").exists()
     echoed = json.loads((out / "run_config.json").read_text())
-    assert echoed["val_subjects"] == ["S03"]
+    assert set(echoed) == {f.name for f in fields(RunConfig)}
 
 
 def test_loso_writes_folds_and_reports(synth_dir, config_file, tmp_path):
@@ -241,6 +242,18 @@ def test_loso_rejects_unknown_names_before_training(synth_dir, config_file, tmp_
     out = tmp_path / "loso"
     assert _loso(synth_dir, config_file, out, variants, targets) == 1
     assert not list(out.rglob("fold_*.json"))
+
+
+def test_loso_rejects_a_subject_id_that_cannot_name_a_file(
+    synth_dir, config_file, tmp_path, capsys
+):
+    manifest = synth_dir / "manifest.csv"
+    manifest.write_text(manifest.read_text().replace("S03,", "S/03,"))
+    out = tmp_path / "loso"
+    assert _loso(synth_dir, config_file, out, "cnn") == 1
+    message = "row 6: subject_id must be non-empty, without '/' or ',', got 'S/03'"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_single_class_subject_and_short_record_through_the_cli(tmp_path):
@@ -362,7 +375,41 @@ def test_loso_echo_keeps_seed_and_target_out_of_train(synth_dir, config_file, tm
     assert main(argv) == 0
     echoed = json.loads((out / "run_config.json").read_text())
     assert set(echoed["train"]) == set(CONFIG["train"]) | {"learning_rate", "val_fraction_subjects"}
-    assert (echoed["seed"], echoed["targets"]) == (9, ["arousal"])
+    assert (echoed["seed"], echoed["target"]) == (9, "arousal")
+
+
+# each run, then its rerun from <out>/run_config.json with only --out changed
+RERUNS = {
+    "loso": ["loso", "--variant", "cnn,cnn_lstm", "--target", "arousal", "--jobs", "2"],
+    "train": ["train", "--variant", "cnn", "--target", "arousal"],
+}
+
+
+@pytest.mark.parametrize("command", RERUNS)
+def test_rerun_from_run_config_writes_the_same_files(synth_dir, config_file, tmp_path, command):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([*RERUNS[command], "--dataset", str(synth_dir), "--config", str(config_file),
+                 "--out", str(first), "--seed", "3"]) == 0
+    assert main([command, "--config", str(first / "run_config.json"), "--out", str(second)]) == 0
+    written = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+    assert written == sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
+    for rel in written:
+        if rel.name != "run_config.json":
+            assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
+    echoed = [json.loads((out / "run_config.json").read_text()) for out in (first, second)]
+    assert {key for key in echoed[0] if echoed[0][key] != echoed[1][key]} == {"out_dir"}
+
+
+def test_train_rejects_a_non_string_out_dir_before_training(
+    synth_dir, config_file, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(evaluation, "fit_model", lambda *args: pytest.fail("trained"))
+    config_file.write_text(json.dumps({**CONFIG, "out_dir": 5}))
+    argv = ["train", "--dataset", str(synth_dir), "--config", str(config_file)]
+    assert main(argv) == 1
+    assert "error: 'out_dir' must be a string, got 5" in capsys.readouterr().err
+    assert not (tmp_path / "5").exists()
 
 
 BAD_RUNS = [
@@ -411,7 +458,7 @@ def test_bad_run_fails_before_preprocessing(
         (["--jobs", "-3"], {}, "jobs must be an integer >= 1, got -3"),
         (["--jobs", "0"], {}, "jobs must be an integer >= 1, got 0"),
         ([], {"jobs": "2"}, "jobs must be an integer >= 1, got '2'"),
-        ([], {"seed": "abc"}, "seed must be an integer, got 'abc'"),
+        ([], {"seed": "abc"}, "seed must be an integer >= 0, got 'abc'"),
         ([], {"variant": ["cnn"]}, "'variant' must be a comma-separated string, got ['cnn']"),
         ([], {"target": ["valence"]}, "'target' must be a comma-separated string"),
         ([], {"model": {**CONFIG["model"], "lstm_units": 4.5}},
@@ -420,6 +467,11 @@ def test_bad_run_fails_before_preprocessing(
          "error: learning_rate must be a number in (0, inf), got nan"),
         ([], {"train": {**CONFIG["train"], "learning_rate": True}},
          "error: learning_rate must be a number in (0, inf), got True"),
+        (["--seed", "-1"], {}, "error: seed must be an integer >= 0, got -1"),
+        ([], {"jobs": 2, "gpus": 1}, "has unknown key(s) ['gpus']"),
+        # the layout run_config.json had before it was a config file
+        ([], {"variants": ["cnn"], "targets": ["arousal"]},
+         "has unknown key(s) ['targets', 'variants']"),
     ],
 )
 def test_bad_run_setting_fails_before_anything_is_written(
@@ -454,6 +506,31 @@ DATA_COMMAND_FAILURES = {
         ["synth", "--out", "{out}", "--duration", "60", "--fs", "0.02"],
         {},
         "error: duration_s * fs_hz must be a number in [2, inf), got 1.2",
+    ),
+    "synth-seed-negative": (
+        ["synth", "--out", "{out}", "--seed", "-1"],
+        {},
+        "error: seed must be an integer >= 0, got -1",
+    ),
+    "train-seed-negative": (
+        ["train", "--dataset", "{data}", "--config", "{config}", "--out", "{out}", "--seed", "-1"],
+        {},
+        "error: seed must be an integer >= 0, got -1",
+    ),
+    "gradcheck-seed-negative": (
+        ["gradcheck", "--seed", "-1"],
+        {},
+        "error: seed must be an integer >= 0, got -1",
+    ),
+    "gradcheck-no-cases": (
+        ["gradcheck", "--cases", "0"],
+        {},
+        "error: cases must be an integer >= 1, got 0",
+    ),
+    "gradcheck-negative-cases": (
+        ["gradcheck", "--cases", "-3"],
+        {},
+        "error: cases must be an integer >= 1, got -3",
     ),
     "import-threshold-nan": (
         ["import-ppge", "--raw", "{raw}", "--out", "{out}", "--threshold", "nan"],

@@ -9,14 +9,15 @@ from ppgemo.data import SynthSpec, import_ppge
 from ppgemo.errors import ConfigError, DataError
 from ppgemo.models import ConvStage, ModelConfig
 from ppgemo.nn import Conv1dSpec, Dropout, Lstm, MaxPool1d, TcnSpec
+from ppgemo.nn.gradcheck import check_family
 from ppgemo.signals import FilterSpec, SegmenterSpec
 from ppgemo.training import TrainConfig
 
 
-def _run_config(jobs):
+def _run_config(jobs=1, seed=0):
     return RunConfig(
-        FilterSpec(), SegmenterSpec(), ModelConfig(), TrainConfig(), None, "out", ("cnn",),
-        ("valence",), 0, jobs,
+        FilterSpec(), SegmenterSpec(), ModelConfig(), TrainConfig(), "data", "out", "cnn",
+        "valence", seed, jobs,
     )
 
 
@@ -45,6 +46,7 @@ COUNTS = {
     "ModelConfig.pool_size": ("pool_size", lambda v: ModelConfig(pool_size=v)),
     "ModelConfig.lstm_units": ("lstm_units", lambda v: ModelConfig(lstm_units=v)),
     "RunConfig.jobs": ("jobs", _run_config),
+    "gradcheck.cases": ("cases", lambda v: check_family("batchnorm1d_train", v)),
 }
 
 
@@ -62,6 +64,22 @@ def test_count_settings_take_numpy_integers(setting):
     # a count read from an array is still a count
     _, make = COUNTS[setting]
     make(np.int64(2))
+
+
+# every seed setting: a build that sets the seed to v
+SEEDS = {
+    "RunConfig.seed": lambda v: _run_config(seed=v),
+    "SynthSpec.seed": lambda v: SynthSpec(seed=v),
+    "gradcheck": lambda v: check_family("batchnorm1d_train", 1, v),
+}
+
+
+@pytest.mark.parametrize("value", [-1, 4.5, "8", True], ids=repr)
+@pytest.mark.parametrize("setting", SEEDS)
+def test_seed_settings_take_only_integers_from_zero(setting, value):
+    message = f"seed must be an integer >= 0, got {value!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        SEEDS[setting](value)
 
 
 def _import_study(**settings):

@@ -40,6 +40,12 @@ class TestRecordValidation:
         with pytest.raises(DataError, match="index 3"):
             PpgRecord("s1", 1, 100.0, samples, 0, 0)
 
+    @pytest.mark.parametrize("subject", ["", "S/03", "S,03"], ids=["empty", "slash", "comma"])
+    def test_subject_id_can_name_a_file_and_a_list_item(self, subject):
+        message = f"subject_id must be non-empty, without '/' or ',', got {subject!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            PpgRecord(subject, 1, 100.0, np.ones(10), 0, 0)
+
     def test_duplicate_subject_trial(self):
         records = _records()
         with pytest.raises(DataError, match=r"\('s1', 1\)"):
@@ -116,6 +122,14 @@ class TestCanonicalRoundTrip:
         manifest = tmp_path / "manifest.csv"
         manifest.write_text(manifest.read_text().replace("s1,1,100.0,", f"s1,1,{rate},"))
         message = f"manifest.csv row 2: fs_hz must be positive and finite, got {rate}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_canonical(tmp_path)
+
+    def test_unusable_subject_id_names_the_row(self, tmp_path):
+        save_canonical(Dataset("x", _records()), tmp_path)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(manifest.read_text().replace("s2,", "s/2,", 1))
+        message = "manifest.csv row 4: subject_id must be non-empty, without '/' or ','"
         with pytest.raises(DataError, match=re.escape(message)):
             load_canonical(tmp_path)
 
@@ -275,6 +289,23 @@ class TestImport:
         (raw / "p1_2.csv").unlink()
         with pytest.raises(DataError, match="p1_2"):
             import_ppge(raw, tmp_path / "canon")
+
+    @pytest.mark.parametrize(
+        "cell, subject",
+        [("A/B", "A/B"), ('"A,B"', "A,B"), ("", "")],
+        ids=["slash", "comma", "empty"],
+    )
+    def test_unusable_subject_id_fails_before_anything_is_written(self, tmp_path, cell, subject):
+        raw = tmp_path / "raw"
+        write_raw_fixture(raw, [("p1", 1, 8, 2)])
+        with open(raw / "ratings.csv", "a") as fh:
+            fh.write(f"{cell},1,3,7\n")
+        (raw / "A").mkdir()
+        (raw / "A" / "B_1.csv").write_text("0.5\n-0.5\n")
+        message = f"row 3: subject_id must be non-empty, without '/' or ',', got {subject!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            import_ppge(raw, tmp_path / "canon")
+        assert not (tmp_path / "canon").exists()
 
     def test_missing_ratings(self, tmp_path):
         with pytest.raises(DataError, match="ratings"):
