@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as data_io
 from . import evaluation as ev
-from .errors import ConfigError, PpgEmoError, check_count
+from .errors import ConfigError, DataError, PpgEmoError, check_count
 from .models import ModelConfig, model_config_from_dict, model_config_to_dict
 from .nn.gradcheck import run_suite
 from .signals import FilterSpec, SegmenterSpec, preprocess_record
@@ -43,12 +43,22 @@ class RunConfig:
     target: str
     seed: int
     jobs: int
+    # train's subject split, comma-separated ids; "" leaves it to the seed
+    val_subjects: str = ""
+    exclude_subjects: str = ""
 
     def __post_init__(self):
-        for name in ("dataset", "out_dir", "variant", "target"):
+        lists = ("variant", "target", "val_subjects", "exclude_subjects")
+        for name in ("dataset", "out_dir", *lists):
             if not isinstance(getattr(self, name), str):
-                kind = "a comma-separated string" if name in ("variant", "target") else "a string"
+                kind = "a comma-separated string" if name in lists else "a string"
                 raise ConfigError(f"'{name}' must be {kind}, got {getattr(self, name)!r}")
+        for name in lists[2:]:
+            try:
+                for subject in _ids(getattr(self, name)):
+                    data_io.check_subject_id(subject)
+            except DataError as exc:
+                raise ConfigError(f"'{name}': {exc}") from None
         check_count("seed", self.seed, least=0)
         check_count("jobs", self.jobs)
         # checked here, where both specs meet, so every command checks it
@@ -63,6 +73,11 @@ class RunConfig:
     @property
     def targets(self) -> tuple[str, ...]:
         return tuple(self.target.split(","))
+
+
+def _ids(names: str) -> list[str]:
+    """The ids of a comma-separated list; "" holds none."""
+    return names.split(",") if names else []
 
 
 def _make(cls, d: dict, section: str):
@@ -109,8 +124,12 @@ def resolve_run_config(args) -> RunConfig:
     out_dir = getattr(args, "out", None) or file_cfg.get("out_dir", "out")
     variant = getattr(args, "variant", None) or file_cfg.get("variant", mcfg.variant)
     target = getattr(args, "target", None) or file_cfg.get("target", "valence")
+    split = {}
+    for name in ("val_subjects", "exclude_subjects"):
+        value = getattr(args, name, None)
+        split[name] = file_cfg.get(name, "") if value is None else value
 
-    return RunConfig(fspec, sspec, mcfg, tcfg, dataset, out_dir, variant, target, seed, jobs)
+    return RunConfig(fspec, sspec, mcfg, tcfg, dataset, out_dir, variant, target, seed, jobs, **split)
 
 
 def _dump_json(path: Path, payload) -> None:
@@ -202,7 +221,7 @@ def cmd_train(args) -> int:
     configs, (target,) = ev.check_run(cfg.model, cfg.segmenter, cfg.variants, cfg.targets)
     mcfg = configs[cfg.variants[0]]
     dataset = data_io.load_canonical(cfg.dataset)
-    excluded = set(args.exclude_subjects.split(",")) if args.exclude_subjects else set()
+    excluded = set(_ids(cfg.exclude_subjects))
     unknown = excluded - set(dataset.subjects)
     if unknown:
         raise ConfigError(f"--exclude-subjects not in dataset: {sorted(unknown)}")
@@ -210,8 +229,8 @@ def cmd_train(args) -> int:
     records = [r for r in dataset.records if r.subject_id not in excluded]
     by_subject = ev.segments_by_subject(records, cfg.filter, cfg.segmenter)
     subjects = sorted(by_subject)
-    if args.val_subjects:
-        val = sorted(set(args.val_subjects.split(",")))
+    if cfg.val_subjects:
+        val = sorted(set(_ids(cfg.val_subjects)))
         unknown = set(val) - set(subjects)
         if unknown:
             raise ConfigError(f"--val-subjects not in dataset: {sorted(unknown)}")
@@ -238,6 +257,9 @@ def cmd_train(args) -> int:
 
 def cmd_loso(args) -> int:
     cfg = resolve_run_config(args)
+    for name in ("val_subjects", "exclude_subjects"):
+        if getattr(cfg, name):
+            raise ConfigError(f"loso does not take '{name}': each fold makes its own split")
     ev.check_run(cfg.model, cfg.segmenter, cfg.variants, cfg.targets)
     dataset = data_io.load_canonical(cfg.dataset)
     out = Path(cfg.out_dir)

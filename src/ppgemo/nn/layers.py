@@ -54,6 +54,12 @@ BN_EPSILON = 1e-3
 # B=512 train step ~15% slower. A B=512 batch never materialises its whole
 # unfolded input (393 MB for conv1).
 CHUNK_ELEMS = 2**17
+# Consecutive output rows one GEMM row of a conv backward computes, through
+# one window and a block-Toeplitz weight (see Conv1d). The model's conv
+# backwards per B=512 train step, medians of 7 in two runs: one row per GEMM
+# row 542 and 474 ms; 2 rows 434 and 386; 4 rows 333 and 293; 8 rows 319 and
+# 329. 8 wins nothing over 4 and multiplies more zeros.
+BLOCK_ROWS = 4
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -151,17 +157,37 @@ class Layer:
         return tape
 
 
-def _unfolded(a, k, first=0, stride=1):
-    """Yield (batch slice, unfolded windows [batch rows * windows, k*channels])
-    of `a` [batch, time, channels]: the k-step windows that start at first,
-    first + stride, ..., at most CHUNK_ELEMS elements (or one batch row) at
-    a time."""
-    win = sliding_window_view(a, k, axis=1)[:, first::stride].swapaxes(2, 3)
-    width = k * a.shape[2]
-    rows = max(1, CHUNK_ELEMS // (win.shape[1] * width))
-    for b0 in range(0, a.shape[0], rows):
-        sl = slice(b0, b0 + rows)
-        yield sl, win[sl].reshape(-1, width)
+def _windows(a, k, first, stride, n, block=1):
+    """Yield (batch slice, row slice, block, windows) covering output rows
+    i < n, where row i reads the k rows a[:, first + i*stride :][:, :k] of
+    `a` [batch, time, channels]. Each full block of `block` consecutive rows
+    is one window of span = k + (block-1)*stride rows; the last n % block
+    rows take block 1. windows is those windows unfolded to [batch rows *
+    windows, span*channels], at most CHUNK_ELEMS elements (or one batch
+    row) at a time."""
+    full = n // block
+    for b, count, lo in ((block, full, 0), (1, n - full * block, full * block)):
+        if count == 0:
+            continue
+        span = k + (b - 1) * stride
+        win = sliding_window_view(a, span, axis=1)[:, first + lo * stride :: b * stride]
+        win = win[:, :count].swapaxes(2, 3)
+        width = span * a.shape[2]
+        rows = max(1, CHUNK_ELEMS // (count * width))
+        for b0 in range(0, a.shape[0], rows):
+            sl = slice(b0, b0 + rows)
+            yield sl, slice(lo, lo + count * b), b, win[sl].reshape(-1, width)
+
+
+def _toeplitz(w, stride, block):
+    """The block-Toeplitz weight [span*c, block*f] of `w` [k, c, f]: w placed
+    at row offsets r*stride, r < block, of zeros [span, c, block, f]. One
+    window of _windows' `block` rows times it gives those rows' outputs."""
+    k, c, f = w.shape
+    wb = np.zeros((k + (block - 1) * stride, c, block, f))
+    for r in range(block):
+        wb[r * stride : r * stride + k, :, r] = w
+    return wb.reshape(-1, block * f)
 
 
 def _padded(a, left, right):
@@ -207,23 +233,36 @@ class Conv1d(Layer):
 
     One kernel serves every padding, stride and row selection. The padded
     input is read through a window view [batch, rows, kernel, channels]
-    whose element [b, i, j, c] is xp[b, (start + i*step)*stride + j, c];
-    the output is that view unfolded to [batch*rows, kernel*channels] times
-    W reshaped to [kernel*channels, filters], and dW is the unfolded view
-    transposed times dy. The unfolded copy is built a few batch rows at a
-    time, at most CHUNK_ELEMS elements each (or one row, if a row is
-    larger), so its memory stays bounded whatever the batch size.
+    whose element [b, i, j, c] is xp[b, first + i*S + j, c], where first =
+    start*stride and S = stride*step. The output is that view unfolded to
+    [batch*rows, kernel*channels] times W reshaped to [kernel*channels,
+    filters]. The unfolded copy is built a few batch rows at a time, at
+    most CHUNK_ELEMS elements each (or one row, if a row is larger), so its
+    memory stays bounded whatever the batch size. The forward's GEMMs, their
+    shapes and their chunks are pinned: the infer path is bit-exact.
+
+    Backward takes BLOCK_ROWS consecutive output rows per GEMM row. Their
+    windows overlap in one window of kernel + (BLOCK_ROWS-1)*S input rows,
+    unfolded once; rows past the last full block take a window each. dW is
+    those windows transposed times dy grouped BLOCK_ROWS rows at a time: the
+    [span*channels, BLOCK_ROWS*filters] product holds each row's
+    [kernel*channels, filters] term at row offset r*S, column block r, and
+    dW is the sum of those diagonal blocks.
 
     dX is a transposed convolution (Dumoulin and Visin, arXiv:1603.07285)
-    computed as one correlation per input phase, through the same unfolded
-    kernel. Output row i reads xp[first + i*S + j] through tap j, where
-    first = start*stride and S = stride*step. The positions first + r +
-    m*S of phase r < S take the taps W[r::S], M of them: they are dy,
-    padded by M-1 rows on each side, correlated with those taps flipped in
-    time. Phases write disjoint positions; a phase r >= kernel_size has no
-    taps and its positions get no gradient. With input_grad=False (a
-    layer whose input is the raw signal) backward fills only the
-    parameter gradients and returns None.
+    computed as one stride-1 correlation. Every S input positions form one
+    super-row of S*channels values, and the taps, zero-padded to M*S with M
+    = ceil(kernel/S), form M blocks of S taps. Super-row q then takes dy
+    rows q-M+1 .. q through those blocks flipped in time, so dX is dy,
+    padded by M-1 rows on each side, correlated with them: its GEMM row is
+    a window of M + BLOCK_ROWS - 1 dy rows times the block-Toeplitz weight
+    of BLOCK_ROWS super-rows (_toeplitz). The result is allocated in whole
+    blocks of super-rows (one block, if fewer rows are needed) from a
+    position at or left of the returned range, and dX is a slice of it; a
+    result of one super-row keeps only the positions returned. Positions no
+    row reads get the zero-padded taps' zeros. With input_grad=False (a
+    layer whose input is the raw signal) backward fills only the parameter
+    gradients and returns None.
     """
 
     def __init__(
@@ -275,40 +314,50 @@ class Conv1d(Layer):
         k, s, f = self.spec.kernel_size, self.spec.stride, self.spec.filters
         w = self.params["W"].reshape(-1, f)
         z = np.empty((xp.shape[0], len(range(start, self.output_len(t), step)), f))
-        for sl, cols in _unfolded(xp, k, start * s, s * step):
+        for sl, _, _, cols in _windows(xp, k, start * s, s * step, z.shape[1]):
             np.matmul(cols, w, out=z[sl].reshape(-1, f))
         z += self.params["b"]
         return z
 
     def backward(self, dy):
         xp, live, t, left, start, step = self._tape()
-        spec = self.spec
-        k, s, f = spec.kernel_size, spec.stride, spec.filters
+        w = self.params["W"]
+        k, c, f = w.shape
         if live is not None:
             dy = dy * live
-        w = self.params["W"]
-        dw = np.zeros((k * self.in_channels, f))
+        n = dy.shape[1]
         # output row i read xp[first + i*stride_in + j] through tap j
-        first, stride_in = start * s, s * step
-        for sl, cols in _unfolded(xp, k, first, stride_in):
-            dw += cols.T @ dy[sl].reshape(-1, f)
-        self.grads = {"W": dw.reshape(w.shape), "b": dy.sum(axis=(0, 1))}
+        first, stride_in = start * self.spec.stride, self.spec.stride * step
+        dw = np.zeros_like(w)
+        for sl, sel, b, cols in _windows(xp, k, first, stride_in, n, BLOCK_ROWS):
+            g = (cols.T @ dy[sl, sel].reshape(-1, b * f)).reshape(-1, c, b, f)
+            for r in range(b):
+                dw += g[r * stride_in : r * stride_in + k, :, r]
+        self.grads = {"W": dw, "b": dy.sum(axis=(0, 1))}
         if not self.input_grad:
             return None
-        n = dy.shape[1]
-        pad = -(-k // stride_in) - 1  # phase 0 has the most taps
+        # super-row q holds the stride_in positions from o + q*stride_in;
+        # o is first, moved left by whole super-rows to at most `left`
+        m = -(-k // stride_in)
+        lead = max(0, -(-(first - left) // stride_in))
+        o = first - lead * stride_in
+        end = left - o + t  # the positions from o that dX returns
+        rows = -(-end // stride_in)
+        block = min(BLOCK_ROWS, rows)
+        rows = -(-rows // block) * block
+        taps = np.zeros((m * stride_in, c, f))
+        taps[:k] = w
+        # the M tap blocks, flipped in time, each as [filters, stride_in*c];
+        # a single super-row keeps only the positions returned
+        taps = taps.reshape(m, stride_in, c, f)[::-1].transpose(0, 3, 1, 2)
+        taps = taps.reshape(m, f, stride_in * c)[:, :, : min(stride_in, end) * c]
+        wb = _toeplitz(taps, 1, block)
         # rebinding frees the relu-masked copy
-        dy = _padded(dy, pad, pad)
-        dxp = np.zeros_like(xp)
-        for r in range(min(stride_in, k)):
-            taps = w[r::stride_in][::-1]
-            m = len(taps)
-            wt = taps.transpose(0, 2, 1).reshape(m * f, self.in_channels)
-            # position first + r + i*stride_in takes dy rows i-m+1 .. i
-            dxr = dxp[:, first + r :: stride_in][:, : n + m - 1]
-            for sl, cols in _unfolded(dy[:, pad - m + 1 : pad + n + m - 1], m):
-                dxr[sl] = (cols @ wt).reshape(-1, n + m - 1, self.in_channels)
-        return dxp[:, left : left + t, :]
+        dy = _padded(dy, m - 1 + lead, rows - lead - n)
+        dxp = np.empty((dy.shape[0], rows, taps.shape[2]))
+        for sl, _, _, cols in _windows(dy, m, 0, 1, rows, block):
+            np.matmul(cols, wb, out=dxp[sl].reshape(-1, wb.shape[1]))
+        return dxp.reshape(dy.shape[0], -1, c)[:, left - o : end]
 
     def own_kink_margin(self) -> float:
         """The smallest |z| of the last train forward's relu, recomputed from

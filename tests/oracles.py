@@ -1,17 +1,20 @@
 """Independent reference implementations used only to check the package.
 
 These stay deliberately naive (direct formulas, brute-force loops) so they
-share no code path with what they verify. The float-tape layers at the end
-are the exception: they are the package's layers before their tapes held
-masks, kept as the bit-exact reference for that rewrite.
+share no code path with what they verify. Two kinds of layer at the end
+are the exception: the float-tape layers are the package's layers before
+their tapes held masks, kept as the bit-exact reference for that rewrite,
+and PhaseSplitConv is Conv1d before its backward took several output rows
+per GEMM row.
 """
 
 from dataclasses import replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ppgemo.nn import BatchNorm1d, Conv1d, Conv1dSpec, Dropout, MaxPool1d
-from ppgemo.nn.layers import BN_EPSILON, BN_MOMENTUM
+from ppgemo.nn import BatchNorm1d, Conv1d, Conv1dSpec, Dropout, MaxPool1d, layers
+from ppgemo.nn.layers import BN_EPSILON, BN_MOMENTUM, _padded
 
 
 def sos_magnitude_db(sos, f_hz, fs_hz):
@@ -344,3 +347,63 @@ def float_tape_model(model):
         for name in ("conv_a", "drop_a", "conv_b", "drop_b"):
             setattr(block, name, _float_tape(getattr(block, name)))
     return model
+
+
+# -- phase-split conv ------------------------------------------------------------
+# Conv1d as it was before its backward became block-Toeplitz GEMMs: one
+# unfolded window per output row, and dX as one correlation per input phase.
+
+
+def _unfolded(a, k, first=0, stride=1):
+    """Yield (batch slice, unfolded windows [batch rows * windows, k*channels])
+    of `a` [batch, time, channels]: the k-step windows that start at first,
+    first + stride, ..., at most CHUNK_ELEMS elements (or one batch row) at
+    a time."""
+    win = sliding_window_view(a, k, axis=1)[:, first::stride].swapaxes(2, 3)
+    width = k * a.shape[2]
+    rows = max(1, layers.CHUNK_ELEMS // (win.shape[1] * width))
+    for b0 in range(0, a.shape[0], rows):
+        sl = slice(b0, b0 + rows)
+        yield sl, win[sl].reshape(-1, width)
+
+
+class PhaseSplitConv(Conv1d):
+    """Conv1d with the pre-rewrite pre-activation and backward."""
+
+    def _preactivation(self, xp, t, start, step):
+        k, s, f = self.spec.kernel_size, self.spec.stride, self.spec.filters
+        w = self.params["W"].reshape(-1, f)
+        z = np.empty((xp.shape[0], len(range(start, self.output_len(t), step)), f))
+        for sl, cols in _unfolded(xp, k, start * s, s * step):
+            np.matmul(cols, w, out=z[sl].reshape(-1, f))
+        z += self.params["b"]
+        return z
+
+    def backward(self, dy):
+        xp, live, t, left, start, step = self._tape()
+        spec = self.spec
+        k, s, f = spec.kernel_size, spec.stride, spec.filters
+        if live is not None:
+            dy = dy * live
+        w = self.params["W"]
+        dw = np.zeros((k * self.in_channels, f))
+        # output row i read xp[first + i*stride_in + j] through tap j
+        first, stride_in = start * s, s * step
+        for sl, cols in _unfolded(xp, k, first, stride_in):
+            dw += cols.T @ dy[sl].reshape(-1, f)
+        self.grads = {"W": dw.reshape(w.shape), "b": dy.sum(axis=(0, 1))}
+        if not self.input_grad:
+            return None
+        n = dy.shape[1]
+        pad = -(-k // stride_in) - 1  # phase 0 has the most taps
+        dy = _padded(dy, pad, pad)
+        dxp = np.zeros_like(xp)
+        for r in range(min(stride_in, k)):
+            taps = w[r::stride_in][::-1]
+            m = len(taps)
+            wt = taps.transpose(0, 2, 1).reshape(m * f, self.in_channels)
+            # position first + r + i*stride_in takes dy rows i-m+1 .. i
+            dxr = dxp[:, first + r :: stride_in][:, : n + m - 1]
+            for sl, cols in _unfolded(dy[:, pad - m + 1 : pad + n + m - 1], m):
+                dxr[sl] = (cols @ wt).reshape(-1, n + m - 1, self.in_channels)
+        return dxp[:, left : left + t, :]

@@ -382,13 +382,16 @@ def test_loso_echo_keeps_seed_and_target_out_of_train(synth_dir, config_file, tm
 RERUNS = {
     "loso": ["loso", "--variant", "cnn,cnn_lstm", "--target", "arousal", "--jobs", "2"],
     "train": ["train", "--variant", "cnn", "--target", "arousal"],
+    # seed 3 alone would fit S01 and S02 and validate on S03: the rerun must keep this split
+    "train-split": ["train", "--variant", "cnn", "--val-subjects", "S01", "--exclude-subjects", "S02"],
 }
 
 
-@pytest.mark.parametrize("command", RERUNS)
-def test_rerun_from_run_config_writes_the_same_files(synth_dir, config_file, tmp_path, command):
+@pytest.mark.parametrize("run", RERUNS)
+def test_rerun_from_run_config_writes_the_same_files(synth_dir, config_file, tmp_path, run):
     first, second = tmp_path / "first", tmp_path / "second"
-    assert main([*RERUNS[command], "--dataset", str(synth_dir), "--config", str(config_file),
+    command = RERUNS[run][0]
+    assert main([*RERUNS[run], "--dataset", str(synth_dir), "--config", str(config_file),
                  "--out", str(first), "--seed", "3"]) == 0
     assert main([command, "--config", str(first / "run_config.json"), "--out", str(second)]) == 0
     written = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
@@ -472,6 +475,12 @@ def test_bad_run_fails_before_preprocessing(
         # the layout run_config.json had before it was a config file
         ([], {"variants": ["cnn"], "targets": ["arousal"]},
          "has unknown key(s) ['targets', 'variants']"),
+        # train's split: loso makes one per fold, and ids must name subjects
+        ([], {"val_subjects": "S01"}, "error: loso does not take 'val_subjects'"),
+        ([], {"exclude_subjects": "S02"}, "error: loso does not take 'exclude_subjects'"),
+        ([], {"val_subjects": ["S01"]}, "'val_subjects' must be a comma-separated string"),
+        ([], {"exclude_subjects": "S01,"},
+         "error: 'exclude_subjects': subject_id must be non-empty, without '/' or ','"),
     ],
 )
 def test_bad_run_setting_fails_before_anything_is_written(
