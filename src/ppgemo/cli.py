@@ -224,7 +224,7 @@ def cmd_train(args) -> int:
     excluded = set(_ids(cfg.exclude_subjects))
     unknown = excluded - set(dataset.subjects)
     if unknown:
-        raise ConfigError(f"--exclude-subjects not in dataset: {sorted(unknown)}")
+        raise ConfigError(f"'exclude_subjects' not in dataset: {sorted(unknown)}")
 
     records = [r for r in dataset.records if r.subject_id not in excluded]
     by_subject = ev.segments_by_subject(records, cfg.filter, cfg.segmenter)
@@ -233,7 +233,7 @@ def cmd_train(args) -> int:
         val = sorted(set(_ids(cfg.val_subjects)))
         unknown = set(val) - set(subjects)
         if unknown:
-            raise ConfigError(f"--val-subjects not in dataset: {sorted(unknown)}")
+            raise ConfigError(f"'val_subjects' not in dataset: {sorted(unknown)}")
         fit = [s for s in subjects if s not in val]
         if not fit:
             raise ConfigError("no training subjects left after the validation split")

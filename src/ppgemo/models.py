@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, check_choice, check_count, check_real
 from .nn.layers import (
+    BLOCK_ROWS,
     BatchNorm1d,
     Conv1d,
     Conv1dSpec,
@@ -236,8 +237,10 @@ def build(config: ModelConfig, rng: np.random.Generator) -> Model:
     ch = 1  # raw PPG is the single input channel
     for idx, conv in ((1, config.conv1), (2, config.conv2)):
         spec = Conv1dSpec(conv.filters, conv.kernel_size, conv.stride, "same", "none")
-        # no layer reads the raw signal's gradient
-        trunk.append((f"conv{idx}", Conv1d(ch, spec, rng, input_grad=idx > 1)))
+        # no layer reads the raw signal's gradient; the trunk's forwards take
+        # BLOCK_ROWS rows per GEMM row (see Conv1d)
+        layer = Conv1d(ch, spec, rng, input_grad=idx > 1, forward_block=BLOCK_ROWS)
+        trunk.append((f"conv{idx}", layer))
         # the pool applies the conv's relu to its maxima
         trunk.append((f"pool{idx}", MaxPool1d(config.pool_size)))
         trunk.append((f"bn{idx}", BatchNorm1d(conv.filters)))

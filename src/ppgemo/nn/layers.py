@@ -54,11 +54,13 @@ BN_EPSILON = 1e-3
 # B=512 train step ~15% slower. A B=512 batch never materialises its whole
 # unfolded input (393 MB for conv1).
 CHUNK_ELEMS = 2**17
-# Consecutive output rows one GEMM row of a conv backward computes, through
-# one window and a block-Toeplitz weight (see Conv1d). The model's conv
-# backwards per B=512 train step, medians of 7 in two runs: one row per GEMM
-# row 542 and 474 ms; 2 rows 434 and 386; 4 rows 333 and 293; 8 rows 319 and
-# 329. 8 wins nothing over 4 and multiplies more zeros.
+# Consecutive output rows one GEMM row computes, through one window and a
+# block-Toeplitz weight (see Conv1d): in every conv backward, and in the
+# trunk convs' forwards. The model's conv backwards per B=512 train step,
+# medians of 7 in two runs: one row per GEMM row 542 and 474 ms; 2 rows 434
+# and 386; 4 rows 333 and 293; 8 rows 319 and 329. 8 wins nothing over 4 and
+# multiplies more zeros. The trunk forwards at B=512 took 67.7 (conv1) and
+# 72.4 ms (conv2) with 4 rows, 78.6 and 79.0 with 2, 69.4 and 77.8 with 8.
 BLOCK_ROWS = 4
 
 
@@ -238,8 +240,20 @@ class Conv1d(Layer):
     [batch*rows, kernel*channels] times W reshaped to [kernel*channels,
     filters]. The unfolded copy is built a few batch rows at a time, at
     most CHUNK_ELEMS elements each (or one row, if a row is larger), so its
-    memory stays bounded whatever the batch size. The forward's GEMMs, their
-    shapes and their chunks are pinned: the infer path is bit-exact.
+    memory stays bounded whatever the batch size. Each chunk's product gets
+    the bias while it is still in cache.
+
+    With forward_block = BLOCK_ROWS (the trunk convs, as models.build makes
+    them) one GEMM row of the forward computes BLOCK_ROWS consecutive output
+    rows: their windows overlap in one window of kernel + (BLOCK_ROWS-1)*S
+    input rows, times the block-Toeplitz weight that holds W at row offsets
+    r*S (_toeplitz); rows past the last full block take block 1. The zeros
+    add exact zeros and, at the trunk's windows (76 and 304 values), every
+    dot product keeps its order, so the outputs are the one-row forward's
+    bit for bit. The TCN's convs keep one row per GEMM row: blocked, the
+    512-value windows of its first conv change results by up to 2e-15
+    relative, and its other convs gained no time. What stays pinned is the
+    model's infer outputs.
 
     Backward takes BLOCK_ROWS consecutive output rows per GEMM row. Their
     windows overlap in one window of kernel + (BLOCK_ROWS-1)*S input rows,
@@ -271,11 +285,13 @@ class Conv1d(Layer):
         spec: Conv1dSpec,
         rng: np.random.Generator,
         input_grad: bool = True,
+        forward_block: int = 1,
     ):
         super().__init__()
         self.in_channels = in_channels
         self.spec = spec
         self.input_grad = input_grad
+        self.forward_block = forward_block
         k, f = spec.kernel_size, spec.filters
         self.params = {
             "W": glorot_uniform(rng, (k, in_channels, f), k * in_channels, k * f),
@@ -312,11 +328,19 @@ class Conv1d(Layer):
         """Output rows start, start + step, ... before the activation, from
         the padded input `xp` of a `t`-step input."""
         k, s, f = self.spec.kernel_size, self.spec.stride, self.spec.filters
-        w = self.params["W"].reshape(-1, f)
+        w, bias = self.params["W"], self.params["b"]
         z = np.empty((xp.shape[0], len(range(start, self.output_len(t), step)), f))
-        for sl, _, _, cols in _windows(xp, k, start * s, s * step, z.shape[1]):
-            np.matmul(cols, w, out=z[sl].reshape(-1, f))
-        z += self.params["b"]
+        block = self.forward_block
+        blocks = {b: _toeplitz(w, s * step, b) for b in {1, block}}
+        for sl, sel, b, cols in _windows(xp, k, start * s, s * step, z.shape[1], block):
+            zs = z[sl, sel]
+            # the product goes straight into z unless the chunk's rows skip
+            # the tail rows of a blocked forward
+            if zs.flags.c_contiguous:
+                np.matmul(cols, blocks[b], out=zs.reshape(-1, b * f))
+                zs += bias
+            else:
+                np.add((cols @ blocks[b]).reshape(zs.shape), bias, out=zs)
         return z
 
     def backward(self, dy):
@@ -447,7 +471,9 @@ class BatchNorm1d(Layer):
     Train mode normalizes with the current batch's statistics and keeps an
     exponential moving average (running = m*running + (1-m)*batch, with
     m = BN_MOMENTUM) for inference; infer mode uses the running statistics
-    only and fails if no training batch has ever been seen.
+    only and fails if no training batch has ever been seen. Infer mode
+    scales and shifts its own centred copy of x in place and returns it, so
+    it makes one full-size array and leaves x unchanged.
     """
 
     def __init__(self, channels: int):
@@ -492,9 +518,12 @@ class BatchNorm1d(Layer):
             xhat = x - buf["running_mean"]
         inv = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat *= inv
-        out = self.params["gamma"] * xhat
-        out += self.params["beta"]
         self._record(mode, xhat, inv, n)
+        if mode == "train":
+            out = self.params["gamma"] * xhat
+        else:  # no tape keeps xhat, so it becomes the output
+            out = np.multiply(xhat, self.params["gamma"], out=xhat)
+        out += self.params["beta"]
         return out
 
     def backward(self, dy):

@@ -716,13 +716,18 @@ def test_run_without_a_dataset_fails_before_anything_is_written(tmp_path, capsys
 
 
 @pytest.mark.parametrize("flag", ["--exclude-subjects", "--val-subjects"])
-def test_train_rejects_an_unknown_subject(synth_dir, config_file, tmp_path, capsys, flag):
+def test_train_rejects_an_unknown_subject(synth_dir, tmp_path, capsys, flag):
+    # the error names the RunConfig key, whether the ids came from its flag
+    # or from the config file
+    key = flag[2:].replace("-", "_")
     out = tmp_path / "run"
-    argv = ["train", "--dataset", str(synth_dir), "--out", str(out), "--config",
-            str(config_file), "--variant", "cnn", flag, "S01,S9"]
-    assert main(argv) == 1
-    assert f"{flag} not in dataset: ['S9']" in capsys.readouterr().err
-    assert not out.exists()
+    argv = ["train", "--dataset", str(synth_dir), "--out", str(out), "--variant", "cnn"]
+    for config, extra in (({}, [flag, "S01,S9"]), ({key: "S01,S9"}, [])):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**CONFIG, **config}))
+        assert main(argv + ["--config", str(path)] + extra) == 1
+        assert f"error: '{key}' not in dataset: ['S9']" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_importing_the_cli_leaves_scipy_signal_unloaded():

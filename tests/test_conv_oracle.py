@@ -1,5 +1,5 @@
 """Conv1d's unfolded-window kernel against the per-tap reference in oracles.py,
-and its blocked backward against the phase-split one it replaced."""
+and the model's blocked convs against the phase-split one they replaced."""
 
 from unittest import mock
 
@@ -9,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import PhaseSplitConv, conv1d_backward, conv1d_forward, rel_err
+from ppgemo.models import ModelConfig, build
 from ppgemo.nn import Conv1d, Conv1dSpec
 from ppgemo.nn import layers
+from ppgemo.nn.layers import walk
 
 TOL = 1e-12
 
@@ -176,18 +178,55 @@ MODEL_CONVS = {
     # the last block keeps only the final step: one row, step = time
     "block3.conv_b": (24, 8, Conv1dSpec(8, 32, 1, "causal", "relu"), 23, 187, True),
 }
+TRUNK_CONVS = [s for s in MODEL_CONVS if s.startswith("trunk.")]
+
+
+def model_conv_pair(stage):
+    """The stage's conv as build makes it, with a nonzero bias, and a
+    PhaseSplitConv holding the same parameters."""
+    time, channels, spec, _, _, input_grad = MODEL_CONVS[stage]
+    model = build(ModelConfig(variant="cnn_tcn_lstm"), np.random.default_rng(2))
+    path = stage if stage.startswith("trunk.") else "tcn." + stage
+    new = dict(walk(model))[path]
+    assert (new.in_channels, new.spec, new.input_grad) == (channels, spec, input_grad)
+    new.params["b"][...] = np.random.default_rng(4).standard_normal(spec.filters)
+    old = PhaseSplitConv(channels, spec, np.random.default_rng(2), input_grad=input_grad)
+    for name, value in new.params.items():
+        old.params[name][...] = value
+    return new, old
+
+
+def test_build_blocks_the_trunk_forwards_only():
+    model = build(ModelConfig(variant="cnn_tcn_lstm"), np.random.default_rng(2))
+    blocks = {path: layer.forward_block for path, layer in walk(model) if isinstance(layer, Conv1d)}
+    assert {p for p, b in blocks.items() if b != 1} == {"trunk.conv1", "trunk.conv2"}
+    assert blocks["trunk.conv1"] == blocks["trunk.conv2"] == layers.BLOCK_ROWS
+
+
+@pytest.mark.parametrize("chunk_elems", [layers.CHUNK_ELEMS, 1000])
+@pytest.mark.parametrize("batch", [1, 3, 512])
+@pytest.mark.parametrize("stage", TRUNK_CONVS)
+def test_blocked_trunk_forward_matches_the_phase_split_one(stage, batch, chunk_elems):
+    # conv2's 375 rows end in 375 % BLOCK_ROWS = 3 rows that take block 1;
+    # under the small cap every batch row is its own chunk
+    time, channels, _, start, step, _ = MODEL_CONVS[stage]
+    new, old = model_conv_pair(stage)
+    x = np.random.default_rng(9).standard_normal((batch, time, channels))
+    with mock.patch.object(layers, "CHUNK_ELEMS", chunk_elems):
+        y = new.forward(x, "infer", start=start, step=step)
+    assert y.tobytes() == old.forward(x, "infer", start=start, step=step).tobytes()
 
 
 @pytest.mark.parametrize("batch", [3, 512])
 @pytest.mark.parametrize("stage", MODEL_CONVS)
 def test_blocked_backward_matches_the_phase_split_one(stage, batch):
-    time, channels, spec, start, step, input_grad = MODEL_CONVS[stage]
-    new = Conv1d(channels, spec, np.random.default_rng(2), input_grad=input_grad)
-    old = PhaseSplitConv(channels, spec, np.random.default_rng(2), input_grad=input_grad)
+    time, channels, _, start, step, input_grad = MODEL_CONVS[stage]
+    new, old = model_conv_pair(stage)
     rng = np.random.default_rng(9)
     x = rng.standard_normal((batch, time, channels))
     y = new.forward(x, start=start, step=step)
-    # the forward is pinned: the same GEMMs on the same chunks
+    # the trunk's blocked forward and the TCN's one-row forward both give
+    # the phase-split forward's bytes
     np.testing.assert_array_equal(y, old.forward(x, start=start, step=step))
     dy = rng.standard_normal(y.shape)
     dx, dx_ref = new.backward(dy), old.backward(dy)

@@ -142,6 +142,28 @@ class TestBatchNorm1d:
         out = bn.forward(x, "train")
         np.testing.assert_allclose(out, x, atol=3e-3)
 
+    def test_infer_is_the_old_formula_bit_for_bit_and_leaves_x_alone(self, rng):
+        bn = BatchNorm1d(8)
+        bn.forward(rng.standard_normal((3, 750, 8)) * 2.0 + 1.0, "train")
+        bn.params["gamma"][...] = rng.uniform(0.5, 2.0, 8)
+        bn.params["beta"][...] = rng.standard_normal(8)
+        x = rng.standard_normal((5, 750, 8)) * 3.0 - 1.0
+        before = x.copy()
+        out = bn.forward(x, "infer")
+        inv = 1.0 / np.sqrt(bn.buffers["running_var"] + BN_EPSILON)
+        want = bn.params["gamma"] * ((x - bn.buffers["running_mean"]) * inv) + bn.params["beta"]
+        assert out.tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()
+        assert not np.shares_memory(out, x)
+
+    def test_infer_forward_drops_the_train_tape(self, rng):
+        bn = BatchNorm1d(2)
+        x = rng.standard_normal((2, 10, 2))
+        bn.forward(x, "train")
+        bn.forward(x, "infer")
+        with pytest.raises(StateError):
+            bn.backward(np.ones_like(x))
+
     def test_infer_before_any_batch_raises(self):
         bn = BatchNorm1d(2)
         with pytest.raises(StateError):
