@@ -4,7 +4,18 @@ End-to-end pipeline: bandpass filtering and windowing of raw PPG, a small
 hybrid convolutional/recurrent/temporal-convolutional model zoo trained
 with class-weighted cross-entropy and early stopping, and
 leave-one-subject-out evaluation reported as AUC and F1 tables.
+
+Importing the package before numpy sets OPENBLAS_NUM_THREADS and
+OMP_NUM_THREADS to 1 unless the environment sets them: the model's matrix
+products are too small for a second BLAS thread to help, a two-branch model
+already uses the second core (see nn.layers.fork_join), and conv weight
+gradients round differently under different BLAS thread counts.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .data import Dataset, PpgRecord, SynthSpec, load_canonical, save_canonical, synth_dataset
 from .errors import (

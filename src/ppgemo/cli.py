@@ -3,7 +3,8 @@
 Subcommands: synth, import-ppge, preprocess, train, loso, report,
 gradcheck. preprocess, train and loso write asdict(RunConfig) to
 <out>/run_config.json, a config file that reruns the run. Exit codes: 0
-success, 1 domain/validation failure, 2 usage error.
+success, 1 domain/validation failure or an output that cannot be written,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -132,6 +133,17 @@ def resolve_run_config(args) -> RunConfig:
     return RunConfig(fspec, sspec, mcfg, tcfg, dataset, out_dir, variant, target, seed, jobs, **split)
 
 
+def _check_out(path) -> Path:
+    """`path` as a Path, once it is known that a command can write there: it
+    is a directory, or the nearest of its ancestors that exists is one.
+    Nothing is created, so a run rejected later still leaves no directory."""
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"cannot write {path}: {existing} is not a directory")
+    return path
+
+
 def _dump_json(path: Path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
@@ -156,8 +168,8 @@ def cmd_synth(args) -> int:
         fs_hz=args.fs,
         seed=args.seed,
     )
+    out = _check_out(args.out)
     dataset = data_io.synth_dataset(spec)
-    out = Path(args.out)
     data_io.save_canonical(dataset, out)
     _dump_json(out / "run_config.json", {"synth": asdict(spec)})
     print(f"wrote {len(dataset.records)} records to {out}")
@@ -165,7 +177,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_import_ppge(args) -> int:
-    out = Path(args.out)
+    out = _check_out(args.out)
     dataset = data_io.import_ppge(args.raw, out, threshold=args.threshold, fs_hz=args.fs)
     settings = {"raw": args.raw, "threshold": args.threshold, "fs_hz": args.fs}
     _dump_json(out / "run_config.json", {"import": settings})
@@ -175,6 +187,7 @@ def cmd_import_ppge(args) -> int:
 
 def cmd_preprocess(args) -> int:
     cfg = resolve_run_config(args)
+    out = _check_out(cfg.out_dir)
     dataset = data_io.load_canonical(cfg.dataset)
     segments = []
     skipped = 0
@@ -189,7 +202,6 @@ def cmd_preprocess(args) -> int:
         segments.extend(segs)
 
     # made only now, so a record that fails to preprocess leaves no directory
-    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if segments:
         np.savez(
@@ -216,6 +228,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = resolve_run_config(args)
+    out = _check_out(cfg.out_dir)
     if len(cfg.variants) != 1 or len(cfg.targets) != 1:
         raise ConfigError("train runs exactly one variant and one target")
     configs, (target,) = ev.check_run(cfg.model, cfg.segmenter, cfg.variants, cfg.targets)
@@ -243,7 +256,6 @@ def cmd_train(args) -> int:
     model, tlog = ev.fit_model(by_subject, fit, val, mcfg, cfg.train, cfg.seed, target)
 
     # made only now, so a run that fails in training leaves no directory
-    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(out / "train.json", dict(fit_subjects=fit, val_subjects=val, train_log=asdict(tlog)))
     model.save(out / "model.json")
@@ -257,12 +269,12 @@ def cmd_train(args) -> int:
 
 def cmd_loso(args) -> int:
     cfg = resolve_run_config(args)
+    out = _check_out(cfg.out_dir)
     for name in ("val_subjects", "exclude_subjects"):
         if getattr(cfg, name):
             raise ConfigError(f"loso does not take '{name}': each fold makes its own split")
     ev.check_run(cfg.model, cfg.segmenter, cfg.variants, cfg.targets)
     dataset = data_io.load_canonical(cfg.dataset)
-    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(out / "run_config.json", asdict(cfg))
 
@@ -287,8 +299,8 @@ def cmd_loso(args) -> int:
 
 
 def cmd_report(args) -> int:
+    out = _check_out(args.out)
     reports = ev.load_reports(args.report)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(out / "run_config.json", {"report": str(args.report)})
     _write_tables(reports, out)
@@ -383,6 +395,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except PpgEmoError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # the commands' reads raise their own errors
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

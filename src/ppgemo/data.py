@@ -118,7 +118,7 @@ def save_canonical(dataset: Dataset, path) -> None:
 
 
 def _read_signal(path: Path) -> np.ndarray:
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"missing signal file {path}")
     try:
         with warnings.catch_warnings():
@@ -153,7 +153,7 @@ def _read_signal_lines(path: Path) -> np.ndarray:
 def load_canonical(path) -> Dataset:
     root = Path(path)
     manifest = root / MANIFEST_NAME
-    if not manifest.exists():
+    if not manifest.is_file():
         raise DataError(f"missing manifest file {manifest}")
     records = []
     with open(manifest, newline="") as fh:
@@ -222,7 +222,7 @@ def import_ppge(raw_path, out_path, threshold: float = 5.0, fs_hz: float = 100.0
     check_real("fs_hz", fs_hz, "(0, inf)")
     raw = Path(raw_path)
     ratings = raw / RATINGS_NAME
-    if not ratings.exists():
+    if not ratings.is_file():
         raise DataError(f"missing ratings file {ratings}")
     rows = []
     with open(ratings, newline="") as fh:
@@ -256,7 +256,7 @@ def import_ppge(raw_path, out_path, threshold: float = 5.0, fs_hz: float = 100.0
         signal_path = None
         for ext in (".csv", ".txt"):
             candidate = raw / f"{subject}_{trial}{ext}"
-            if candidate.exists():
+            if candidate.is_file():
                 signal_path = candidate
                 break
         if signal_path is None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .nn.layers import (
     GlobalMaxPool,
     MaxPool1d,
     check_input,
+    fork_join,
     gather,
 )
 from .nn.lstm import Lstm
@@ -96,7 +98,16 @@ class Model:
     mode on forward.
 
     Every branch reads the trunk output; their features are concatenated
-    in branch order (a single branch feeds the head as it is).
+    in branch order (a single branch feeds the head as it is). Given the
+    trunk output, the two branches of `cnn_tcn_lstm` are independent, so
+    forward and backward run them through `nn.layers.fork_join`: on the
+    main thread, for batches of `OVERLAP_BATCH` rows or more, the LSTM
+    runs on the helper thread while the TCN runs here. Only the TCN, the
+    first branch, is given the rng; the LSTM draws nothing, so every
+    dropout mask is drawn here, in the order of a sequential run. Each
+    branch computes what it computes alone, with the same operations in
+    the same order, so outputs and gradients are the same bytes whichever
+    thread runs them.
     `shape_trace` records the (stage, shape) sequence of the latest
     forward call. Parameters are exposed as one flat dict of live arrays
     keyed by dotted layer paths, which the optimizer updates in place.
@@ -159,10 +170,10 @@ class Model:
         for name, layer in self.trunk:
             h = layer.forward(h, mode, rng)
             trace.append((name, h.shape))
-        feats = []
-        for name, branch in self.branches.items():
-            feats.append(branch.forward(h, mode, rng))
-            trace.append((name, feats[-1].shape))
+        # only the first branch is given the rng (see Model)
+        branches = zip(self.branches.values(), (rng, None))
+        feats = _each_branch([partial(b.forward, h, mode, r) for b, r in branches], len(h))
+        trace += [(name, f.shape) for name, f in zip(self.branches, feats)]
         self._widths = [f.shape[1] for f in feats]
         feat = feats[0]
         if len(feats) > 1:
@@ -177,7 +188,8 @@ class Model:
         """Fill every layer's grads; the first conv computes no input gradient."""
         dfeat = self.head.backward(dprobs)
         parts = np.split(dfeat, np.cumsum(self._widths)[:-1], axis=1)
-        dhs = [branch.backward(d) for branch, d in zip(self.branches.values(), parts)]
+        calls = [partial(b.backward, d) for b, d in zip(self.branches.values(), parts)]
+        dhs = _each_branch(calls, len(dfeat))
         dh = sum(dhs[1:], dhs[0])
         for _, layer in reversed(self.trunk):
             dh = layer.backward(dh)
@@ -228,6 +240,12 @@ class Model:
                     stored[k] = np.array(seen)
         model.restore(stored)
         return model
+
+
+def _each_branch(calls, batch):
+    """The results of one call per branch, in branch order; two branches
+    run through fork_join."""
+    return list(fork_join(*calls, batch)) if len(calls) == 2 else [calls[0]()]
 
 
 def build(config: ModelConfig, rng: np.random.Generator) -> Model:

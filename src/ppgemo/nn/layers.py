@@ -29,10 +29,23 @@ layer)`` pairs (``[]`` for a leaf). A layer keeps only its own arrays in
 ``own_kink_margin``. One walk (``walk``/``gather``, which serve the model
 too) derives ``named_params`` and ``named_grads``, keyed by dotted paths
 such as ``block0.conv_a.W``, and ``kink_margin``.
+
+Two independent computations may overlap on one helper thread through
+``fork_join``: the two branches of a two-branch model (the TCN in the
+caller, the LSTM on the helper) and a conv backward's dX and dW. Each
+array is still computed by the same operations in the same order, so the
+bytes do not change; only numpy's GEMM and ufunc loops, which release the
+GIL, run at the same time. The helper serves the main thread only, only
+while it is idle, and only for batches of ``OVERLAP_BATCH`` rows or more:
+calls from other threads (LOSO fold workers, whose pool already keeps the
+cores busy), calls nested in a running ``fork_join`` and small batches run
+both parts in turn.
 """
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +75,43 @@ CHUNK_ELEMS = 2**17
 # multiplies more zeros. The trunk forwards at B=512 took 67.7 (conv1) and
 # 72.4 ms (conv2) with 4 rows, 78.6 and 79.0 with 2, 69.4 and 77.8 with 8.
 BLOCK_ROWS = 4
+
+
+# Batch rows from which fork_join overlaps its two parts. In smaller batches
+# both parts are Python-bound: they only trade the GIL, and the hand-off costs
+# more than the overlap saves. cnn_tcn_lstm on the main thread, medians of 21
+# alternating calls in one process, in turn -> overlapped, ms, two processes:
+# B=8 train step 48.6 -> 50.8 and 43.1 -> 45.4, infer forward 14.8 -> 15.9
+# and 9.8 -> 13.1; B=16 step 67.3 -> 64.5 and 53.1 -> 57.3, infer 20.6 ->
+# 19.3 and 16.0 -> 16.8; B=32 step 115.0 -> 93.2 and 116.9 -> 95.4, infer
+# 35.2 -> 30.2 and 35.6 -> 30.2.
+OVERLAP_BATCH = 32
+# One worker thread, started by its first task; _HELPER_IDLE is held while
+# it runs one, so a fork_join never queues behind another.
+_HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ppgemo-helper")
+_HELPER_IDLE = threading.Lock()
+
+
+def fork_join(first, second, batch):
+    """(first(), second()). For a batch of at least OVERLAP_BATCH rows, from
+    the main thread, while the helper is idle, `second` runs on the helper
+    as `first` runs here; otherwise both run here, `first` then `second`.
+    Either way `second` has finished before this returns or raises, and if
+    both raise, `first`'s error propagates. `first` keeps the caller's
+    thread, so a task that draws from an rng must be `first`: the draws
+    then stay in the sequential order."""
+    inline = batch < OVERLAP_BATCH or threading.current_thread() is not threading.main_thread()
+    if inline or not _HELPER_IDLE.acquire(blocking=False):
+        return first(), second()
+    try:
+        pending = _HELPER.submit(second)
+        try:
+            out = first()
+        finally:
+            wait((pending,))
+        return out, pending.result()
+    finally:
+        _HELPER_IDLE.release()
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -274,9 +324,10 @@ class Conv1d(Layer):
     blocks of super-rows (one block, if fewer rows are needed) from a
     position at or left of the returned range, and dX is a slice of it; a
     result of one super-row keeps only the positions returned. Positions no
-    row reads get the zero-padded taps' zeros. With input_grad=False (a
-    layer whose input is the raw signal) backward fills only the parameter
-    gradients and returns None.
+    row reads get the zero-padded taps' zeros. dX runs beside dW and db
+    through fork_join. With input_grad=False (a layer whose input is the
+    raw signal) backward fills only the parameter gradients and returns
+    None.
     """
 
     def __init__(
@@ -345,21 +396,35 @@ class Conv1d(Layer):
 
     def backward(self, dy):
         xp, live, t, left, start, step = self._tape()
-        w = self.params["W"]
-        k, c, f = w.shape
         if live is not None:
             dy = dy * live
-        n = dy.shape[1]
         # output row i read xp[first + i*stride_in + j] through tap j
         first, stride_in = start * self.spec.stride, self.spec.stride * step
-        dw = np.zeros_like(w)
-        for sl, sel, b, cols in _windows(xp, k, first, stride_in, n, BLOCK_ROWS):
+        if not self.input_grad:
+            self.grads = self._param_grads(xp, dy, first, stride_in)
+            return None
+        dx, self.grads = fork_join(
+            lambda: self._input_grad(dy, t, left, first, stride_in),
+            lambda: self._param_grads(xp, dy, first, stride_in),
+            dy.shape[0],
+        )
+        return dx
+
+    def _param_grads(self, xp, dy, first, stride_in):
+        """dW and db from the padded input and the output gradient."""
+        k, c, f = self.params["W"].shape
+        dw = np.zeros((k, c, f))
+        for sl, sel, b, cols in _windows(xp, k, first, stride_in, dy.shape[1], BLOCK_ROWS):
             g = (cols.T @ dy[sl, sel].reshape(-1, b * f)).reshape(-1, c, b, f)
             for r in range(b):
                 dw += g[r * stride_in : r * stride_in + k, :, r]
-        self.grads = {"W": dw, "b": dy.sum(axis=(0, 1))}
-        if not self.input_grad:
-            return None
+        return {"W": dw, "b": dy.sum(axis=(0, 1))}
+
+    def _input_grad(self, dy, t, left, first, stride_in):
+        """dX of the `t`-step input, `left` pad rows before it."""
+        w = self.params["W"]
+        k, c, f = w.shape
+        n = dy.shape[1]
         # super-row q holds the stride_in positions from o + q*stride_in;
         # o is first, moved left by whole super-rows to at most `left`
         m = -(-k // stride_in)
@@ -376,7 +441,6 @@ class Conv1d(Layer):
         taps = taps.reshape(m, stride_in, c, f)[::-1].transpose(0, 3, 1, 2)
         taps = taps.reshape(m, f, stride_in * c)[:, :, : min(stride_in, end) * c]
         wb = _toeplitz(taps, 1, block)
-        # rebinding frees the relu-masked copy
         dy = _padded(dy, m - 1 + lead, rows - lead - n)
         dxp = np.empty((dy.shape[0], rows, taps.shape[2]))
         for sl, _, _, cols in _windows(dy, m, 0, 1, rows, block):

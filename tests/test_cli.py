@@ -730,6 +730,47 @@ def test_train_rejects_an_unknown_subject(synth_dir, tmp_path, capsys, flag):
         assert not out.exists()
 
 
+# each writing command's argv before --out, and the call that starts its work
+WRITERS = {
+    "synth": (["synth"], (cli.data_io, "synth_dataset")),
+    "import-ppge": (["import-ppge", "--raw", "raw"], (cli.data_io, "import_ppge")),
+    "preprocess": (["preprocess"], (cli, "preprocess_record")),
+    "train": (["train", "--variant", "cnn"], (evaluation, "fit_model")),
+    "loso": (["loso", "--variant", "cnn"], (evaluation, "run_loso")),
+    "report": (["report", "--report", "report.json"], (evaluation, "load_reports")),
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_unusable_output_path_fails_by_name_before_the_work(
+    command, under, synth_dir, config_file, tmp_path, monkeypatch, capsys
+):
+    argv, (module, work) = WRITERS[command]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(module, work, forbidden)
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file\n")
+    out = blocker / "sub" if under else blocker
+    if command in ("preprocess", "train", "loso"):
+        argv = argv + ["--dataset", str(synth_dir), "--config", str(config_file)]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: {blocker} is not a directory\n"
+    assert blocker.read_text() == "a file\n"
+
+
+def test_a_failed_write_fails_by_name(tmp_path, capsys):
+    out = tmp_path / "data"
+    (out / "run_config.json").mkdir(parents=True)
+    argv = ["synth", "--out", str(out), "--subjects", "2", "--trials", "1", "--duration", "65",
+            "--fs", "10"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out / 'run_config.json'}: Is a directory\n"
+
+
 def test_importing_the_cli_leaves_scipy_signal_unloaded():
     # scipy.signal takes most of the CLI's import time; only filtering needs it
     code = "import sys, ppgemo.cli; print('scipy.signal' in sys.modules)"
@@ -737,3 +778,15 @@ def test_importing_the_cli_leaves_scipy_signal_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_importing_ppgemo_pins_one_blas_thread_unless_set(preset, expected):
+    code = "import os, ppgemo; print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [expected, "1"]

@@ -1,4 +1,6 @@
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from ppgemo.nn import (
     softmax,
 )
 from ppgemo.nn.gradcheck import maxpool_margin
-from ppgemo.nn.layers import BN_EPSILON
+from ppgemo.nn.layers import BN_EPSILON, OVERLAP_BATCH, fork_join
 from oracles import maxpool
 
 
@@ -391,3 +393,101 @@ def test_forward_input_contract(name, rng):
     for bad in wrong:
         with pytest.raises(ShapeError, match=re.escape(f"{name} expected {expected}, got")):
             layer.forward(bad, "infer", rng)
+
+
+# -- fork_join --------------------------------------------------------------------
+
+
+def _recorder(calls, name, value=None):
+    """A task that appends (name, its thread) to `calls` and returns `value`."""
+
+    def task():
+        calls.append((name, threading.current_thread()))
+        return value
+
+    return task
+
+
+def test_fork_join_returns_both_results_in_order():
+    assert fork_join(lambda: 1, lambda: "two", OVERLAP_BATCH) == (1, "two")
+
+
+def test_fork_join_runs_second_on_the_helper_from_the_main_thread():
+    calls = []
+    out = fork_join(_recorder(calls, "first", 1), _recorder(calls, "second", 2), OVERLAP_BATCH)
+    assert out == (1, 2)
+    threads = dict(calls)
+    assert threads["first"] is threading.main_thread()
+    assert threads["second"] is not threading.main_thread()
+
+
+def test_fork_join_runs_inline_off_the_main_thread():
+    calls, out = [], []
+
+    def run():
+        out.append(fork_join(_recorder(calls, "first", 1), _recorder(calls, "second", 2), OVERLAP_BATCH))
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive() and out == [(1, 2)]
+    assert [name for name, _ in calls] == ["first", "second"]
+    assert calls[0][1] is calls[1][1] is not threading.main_thread()
+
+
+def test_fork_join_runs_a_small_batch_inline():
+    calls = []
+    out = fork_join(_recorder(calls, "first", 1), _recorder(calls, "second", 2), OVERLAP_BATCH - 1)
+    assert out == (1, 2)
+    assert calls == [("first", threading.main_thread()), ("second", threading.main_thread())]
+
+
+def test_fork_join_nested_while_the_helper_is_busy_runs_inline():
+    calls = []
+    released = threading.Event()
+
+    def outer_first():
+        inner = fork_join(_recorder(calls, "a", "A"), _recorder(calls, "b", "B"), OVERLAP_BATCH)
+        released.set()
+        return inner
+
+    # the outer second holds the helper until the nested call is done
+    done = fork_join(outer_first, lambda: released.wait(timeout=30), OVERLAP_BATCH)
+    assert done == (("A", "B"), True)
+    assert calls == [("a", threading.main_thread()), ("b", threading.main_thread())]
+
+
+class FirstError(Exception):
+    pass
+
+
+class SecondError(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "fails, expected",
+    [("first", FirstError), ("second", SecondError), ("both", FirstError)],
+)
+def test_fork_join_raises_after_both_finish_and_first_error_wins(fails, expected):
+    finished = []
+
+    def slow_second():
+        time.sleep(0.2)
+        finished.append("second")
+        if fails != "first":
+            raise SecondError
+
+    def first():
+        if fails != "second":
+            raise FirstError
+        finished.append("first")
+
+    with pytest.raises(expected):
+        fork_join(first, slow_second, OVERLAP_BATCH)
+    # the helper finished its task before the error reached the caller
+    assert "second" in finished
+    # and is free again: the next call uses it
+    calls = []
+    fork_join(_recorder(calls, "first"), _recorder(calls, "second"), OVERLAP_BATCH)
+    assert dict(calls)["second"] is not threading.main_thread()

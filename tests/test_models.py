@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import re
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from ppgemo.models import (
     model_config_to_dict,
 )
 from ppgemo.nn import Conv1d, Dropout, MaxPool1d, TcnSpec, walk
+from ppgemo.nn.layers import OVERLAP_BATCH
 from ppgemo.training import AdamState, TrainConfig, adam_step, predict_proba, weighted_cce_grad
 from oracles import float_tape_model
 
@@ -500,3 +502,51 @@ def test_perfbench_tracer_records_spans_flops_and_tapes(variant):
     # the stages are the step root's direct children; how much of the step
     # they cover is a timing, so only their link to the root is checked
     assert metrics["trace.coverage_frac"] > 0
+
+
+def _paper_step_arrays(batch):
+    """A cnn_tcn_lstm train step at paper shapes, then an infer pass: the
+    probabilities, gradients, post-Adam parameters and infer probabilities,
+    with the set of threads the LSTM ran on."""
+    model = build(ModelConfig(), np.random.default_rng(1))
+    lstm = model.branches["lstm"]
+    threads = set()
+
+    def spy(fn):
+        def call(*args):
+            threads.add(threading.current_thread())
+            return fn(*args)
+
+        return call
+
+    lstm.forward, lstm.backward = spy(lstm.forward), spy(lstm.backward)
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((batch, 6000, 1))
+    onehot = np.eye(2)[rng.integers(0, 2, batch)]
+    probs = model.forward(x, "train", np.random.default_rng(3))
+    model.backward(weighted_cce_grad(probs, onehot, np.array([0.7, 1.3])))
+    arrays = {"probs": probs, **{f"grad.{k}": v for k, v in model.grads().items()}}
+    adam_step(model.params(), model.grads(), AdamState(model.params()), TrainConfig())
+    arrays.update({f"param.{k}": v.copy() for k, v in model.params().items()})
+    arrays["infer"] = predict_proba(model, x)
+    return arrays, threads
+
+
+@pytest.mark.parametrize("batch", [3, OVERLAP_BATCH, 64])
+def test_branches_on_the_helper_give_the_sequential_bytes(batch):
+    # on the main thread the LSTM and each conv's dW run on the helper from
+    # OVERLAP_BATCH rows; in a worker thread everything runs in turn
+    overlapped, main_threads = _paper_step_arrays(batch)
+    out = []
+    worker = threading.Thread(target=lambda: out.append(_paper_step_arrays(batch)))
+    worker.start()
+    worker.join(timeout=300)
+    assert not worker.is_alive()
+    (sequential, worker_threads), = out
+    on_main = batch < OVERLAP_BATCH
+    assert main_threads and (threading.main_thread() in main_threads) == on_main
+    assert worker_threads == {worker}
+    assert overlapped.keys() == sequential.keys()
+    for key, a in overlapped.items():
+        assert a.dtype == sequential[key].dtype and a.shape == sequential[key].shape, key
+        assert a.tobytes() == sequential[key].tobytes(), key
