@@ -7,9 +7,14 @@ leave-one-subject-out evaluation reported as AUC and F1 tables.
 
 Importing the package before numpy sets OPENBLAS_NUM_THREADS and
 OMP_NUM_THREADS to 1 unless the environment sets them: the model's matrix
-products are too small for a second BLAS thread to help, a two-branch model
-already uses the second core (see nn.layers.fork_join), and conv weight
-gradients round differently under different BLAS thread counts.
+products are too small for a second BLAS thread to help, the main thread
+already uses the second core (see nn.layers.overlap), and conv weight
+gradients round differently under different BLAS thread counts. On the main
+thread, for batches of 32 rows or more, a two-branch model's LSTM, each conv
+backward's weight gradients, and every other 64-row piece of a scored batch
+(training.predict_proba) run on one helper thread. Fold threads and smaller
+batches run every part in turn and score each batch in one forward. The
+bytes are the same either way.
 """
 
 import os

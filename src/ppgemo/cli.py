@@ -145,15 +145,16 @@ def _check_out(path) -> Path:
 
 
 def _dump_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:
+    with data_io.atomic_open(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
 
 
 def _write_tables(reports, out: Path) -> None:
     """Write report.csv and report.md under `out` and print the markdown."""
     markdown = ev.render_markdown(reports)
-    (out / "report.csv").write_text(ev.render_csv(reports))
-    (out / "report.md").write_text(markdown)
+    for name, text in (("report.csv", ev.render_csv(reports)), ("report.md", markdown)):
+        with data_io.atomic_open(out / name) as fh:
+            fh.write(text)
     print(markdown)
 
 

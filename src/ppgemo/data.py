@@ -1,5 +1,6 @@
 """Dataset handling: canonical on-disk format, raw-study importer, and a
-synthetic pulse-signal generator.
+synthetic pulse-signal generator; and `atomic_open`, through which the
+package writes its JSON and text outputs.
 
 Canonical layout (the only format the rest of the package reads):
 
@@ -14,10 +15,13 @@ conversion happens in the importer and nowhere else.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,6 +100,30 @@ class Dataset:
     @property
     def subjects(self) -> list[str]:
         return sorted({r.subject_id for r in self.records})
+
+
+# -- output files ----------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def atomic_open(path):
+    """A text file, open for writing, that replaces `path` when the block
+    ends without an error: it is written under a temporary name in the same
+    directory and moved over `path` by os.replace, so `path` holds either
+    its old bytes or all the new ones. On an error the temporary file is
+    removed, and an OSError that named it names `path` instead."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
 
 
 # -- canonical format ------------------------------------------------------------
@@ -277,7 +305,7 @@ def import_ppge(raw_path, out_path, threshold: float = 5.0, fs_hz: float = 100.0
     dataset = Dataset("ppge", records)
     out = Path(out_path)
     save_canonical(dataset, out)
-    with open(out / "import_log.json", "w") as fh:
+    with atomic_open(out / "import_log.json") as fh:
         json.dump({"threshold": threshold, "conversions": conversions}, fh, indent=1)
     log.info("imported %d records from %d subjects", len(records), len(dataset.subjects))
     return dataset

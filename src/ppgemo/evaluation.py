@@ -17,7 +17,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, atomic_open
 from .errors import ConfigError, DataError, PpgEmoError, ShapeError, check_choice
 from .models import Model, ModelConfig, build
 from .signals import FilterSpec, Segment, SegmenterSpec, preprocess_record
@@ -242,7 +242,7 @@ def report_from_dict(d: dict) -> EvalReport:
 
 def save_reports(reports: dict[str, EvalReport], path) -> None:
     payload = {v: asdict(r) for v, r in reports.items()}
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
 
 

@@ -18,6 +18,7 @@ from functools import partial
 
 import numpy as np
 
+from .data import atomic_open
 from .errors import ConfigError, check_choice, check_count, check_real
 from .nn.layers import (
     BLOCK_ROWS,
@@ -109,8 +110,11 @@ class Model:
     the same order, so outputs and gradients are the same bytes whichever
     thread runs them.
     `shape_trace` records the (stage, shape) sequence of the latest
-    forward call. Parameters are exposed as one flat dict of live arrays
-    keyed by dotted layer paths, which the optimizer updates in place.
+    forward call. Infer forwards may run at once on one model, as
+    `training.predict_proba`'s pieces do: they change no state that another
+    infer forward reads, and `shape_trace` then holds the trace of the one
+    that finished last. Parameters are exposed as one flat dict of live
+    arrays keyed by dotted layer paths, which the optimizer updates in place.
     """
 
     def __init__(self, config: ModelConfig, trunk, branches, head):
@@ -119,7 +123,7 @@ class Model:
         self.branches = branches  # dict name -> layer
         self.head = head
         self.shape_trace: list[tuple[str, tuple[int, ...]]] = []
-        self._widths: list[int] = []  # branch feature widths of the last forward
+        self._widths: list[int] = []  # branch feature widths of the last train forward
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -174,7 +178,8 @@ class Model:
         branches = zip(self.branches.values(), (rng, None))
         feats = _each_branch([partial(b.forward, h, mode, r) for b, r in branches], len(h))
         trace += [(name, f.shape) for name, f in zip(self.branches, feats)]
-        self._widths = [f.shape[1] for f in feats]
+        if mode == "train":  # only backward reads them
+            self._widths = [f.shape[1] for f in feats]
         feat = feats[0]
         if len(feats) > 1:
             feat = np.concatenate(feats, axis=1)
@@ -211,7 +216,7 @@ class Model:
             "params": pack(self.params()),
             "buffers": pack(self.buffers()),
         }
-        with open(path, "w") as fh:
+        with atomic_open(path) as fh:
             json.dump(manifest, fh, sort_keys=True)
 
     @classmethod

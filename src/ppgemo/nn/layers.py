@@ -30,20 +30,24 @@ layer)`` pairs (``[]`` for a leaf). A layer keeps only its own arrays in
 too) derives ``named_params`` and ``named_grads``, keyed by dotted paths
 such as ``block0.conv_a.W``, and ``kink_margin``.
 
-Two independent computations may overlap on one helper thread through
-``fork_join``: the two branches of a two-branch model (the TCN in the
-caller, the LSTM on the helper) and a conv backward's dX and dW. Each
-array is still computed by the same operations in the same order, so the
-bytes do not change; only numpy's GEMM and ufunc loops, which release the
-GIL, run at the same time. The helper serves the main thread only, only
-while it is idle, and only for batches of ``OVERLAP_BATCH`` rows or more:
-calls from other threads (LOSO fold workers, whose pool already keeps the
-cores busy), calls nested in a running ``fork_join`` and small batches run
-both parts in turn.
+Independent computations may overlap on one helper thread: through
+``fork_join``, the two branches of a two-branch model (the TCN in the
+caller, the LSTM on the helper) and a conv backward's dX and dW; and, through
+``overlap``, the row pieces of an infer batch that ``training.predict_proba``
+scores on both threads. Each array is still computed by the same operations
+in the same order, so the bytes do not change; only numpy's GEMM and ufunc
+loops, which release the GIL, run at the same time. The helper serves the
+main thread only, only while it is idle, and only for batches of
+``OVERLAP_BATCH`` rows or more: calls from other threads (LOSO fold workers,
+whose pool already keeps the cores busy), calls nested in a running overlap,
+calls in a forked child (which has no helper thread) and small batches run
+everything in turn.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -87,31 +91,61 @@ BLOCK_ROWS = 4
 # 35.2 -> 30.2 and 35.6 -> 30.2.
 OVERLAP_BATCH = 32
 # One worker thread, started by its first task; _HELPER_IDLE is held while
-# it runs one, so a fork_join never queues behind another.
+# it runs one, so a task never queues behind another.
 _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ppgemo-helper")
 _HELPER_IDLE = threading.Lock()
 
 
-def fork_join(first, second, batch):
-    """(first(), second()). For a batch of at least OVERLAP_BATCH rows, from
-    the main thread, while the helper is idle, `second` runs on the helper
-    as `first` runs here; otherwise both run here, `first` then `second`.
-    Either way `second` has finished before this returns or raises, and if
-    both raise, `first`'s error propagates. `first` keeps the caller's
-    thread, so a task that draws from an rng must be `first`: the draws
-    then stay in the sequential order."""
-    inline = batch < OVERLAP_BATCH or threading.current_thread() is not threading.main_thread()
-    if inline or not _HELPER_IDLE.acquire(blocking=False):
-        return first(), second()
+def _drop_helper():
+    """A forked child inherits the executor but not its thread, and a task
+    submitted there would wait forever: the child runs everything in turn."""
+    global _HELPER
+    _HELPER = None
+
+
+os.register_at_fork(after_in_child=_drop_helper)
+
+
+@contextlib.contextmanager
+def overlap(batch):
+    """`beside(first, second)`, which returns (first(), second()) with
+    `second` run on the helper thread as `first` runs in the caller, when a
+    batch of `batch` rows may overlap now: from OVERLAP_BATCH rows, on the
+    main thread, while the helper is idle, in the process that made it (a
+    forked child has none). Otherwise None. The helper stays claimed until
+    the block ends, so an overlap nested in it gets None."""
+    if (
+        batch < OVERLAP_BATCH
+        or _HELPER is None
+        or threading.current_thread() is not threading.main_thread()
+        or not _HELPER_IDLE.acquire(blocking=False)
+    ):
+        yield None
+        return
     try:
-        pending = _HELPER.submit(second)
-        try:
-            out = first()
-        finally:
-            wait((pending,))
-        return out, pending.result()
+        yield _beside
     finally:
         _HELPER_IDLE.release()
+
+
+def _beside(first, second):
+    pending = _HELPER.submit(second)
+    try:
+        out = first()
+    finally:
+        wait((pending,))
+    return out, pending.result()
+
+
+def fork_join(first, second, batch):
+    """(first(), second()), overlapped when `overlap(batch)` allows it;
+    otherwise both run here, `first` then `second`. Either way `second` has
+    finished before this returns or raises, and if both raise, `first`'s
+    error propagates. `first` keeps the caller's thread, so a task that draws
+    from an rng must be `first`: the draws then stay in the sequential
+    order."""
+    with overlap(batch) as beside:
+        return beside(first, second) if beside else (first(), second())
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:

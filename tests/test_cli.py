@@ -771,6 +771,24 @@ def test_a_failed_write_fails_by_name(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: cannot write {out / 'run_config.json'}: Is a directory\n"
 
 
+def test_a_write_that_fails_partway_keeps_the_old_file_and_no_temporary(tmp_path):
+    path = tmp_path / "run_config.json"
+    cli._dump_json(path, {"seed": 1})
+    old = path.read_bytes()
+    # json.dump has written the "seed" entry when it meets the object
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._dump_json(path, {"seed": 2, "variant": object()})
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["run_config.json"]
+    # a failed replace leaves no temporary file either, and names the path
+    (tmp_path / "report.md").mkdir()
+    reports = {"cnn": aggregate({"valence": [FoldMetrics("s1", *[0.5] * 6)]})}
+    with pytest.raises(IsADirectoryError) as err:
+        cli._write_tables(reports, tmp_path)
+    assert err.value.filename == str(tmp_path / "report.md")
+    assert sorted(os.listdir(tmp_path)) == ["report.csv", "report.md", "run_config.json"]
+
+
 def test_importing_the_cli_leaves_scipy_signal_unloaded():
     # scipy.signal takes most of the CLI's import time; only filtering needs it
     code = "import sys, ppgemo.cli; print('scipy.signal' in sys.modules)"

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
 
@@ -491,3 +494,53 @@ def test_fork_join_raises_after_both_finish_and_first_error_wins(fails, expected
     calls = []
     fork_join(_recorder(calls, "first"), _recorder(calls, "second"), OVERLAP_BATCH)
     assert dict(calls)["second"] is not threading.main_thread()
+
+
+# A process forked after the helper ran: the parent starts the helper, forks,
+# and waits for the child, which must run fork_join and predict_proba in turn
+# on its main thread. A hung child is killed at the deadline.
+FORKED_CHILD = """
+import os, signal, sys, threading, time
+import ppgemo
+import numpy as np
+from ppgemo.models import ModelConfig, ConvStage, build
+from ppgemo.nn.layers import OVERLAP_BATCH, fork_join
+from ppgemo.nn.tcn import TcnSpec
+from ppgemo.training import INFER_PIECE_ROWS, predict_proba
+
+config = ModelConfig(input_len=240, conv1=ConvStage(4, 16, 4), conv2=ConvStage(6, 8, 2),
+                     tcn=TcnSpec(filters=3, kernel_size=4, dilations=(1, 2)), lstm_units=5)
+model = build(config, np.random.default_rng(0))
+x = np.random.default_rng(1).standard_normal((2 * INFER_PIECE_ROWS + 2, 240, 1))
+model.forward(x[:8], "train", np.random.default_rng(2))
+threads = []
+assert fork_join(lambda: 1, lambda: threads.append(threading.current_thread()) or 2,
+                 OVERLAP_BATCH) == (1, 2)
+assert threads and threads[0] is not threading.main_thread()
+expected = predict_proba(model, x)
+pid = os.fork()
+if pid == 0:
+    threads.clear()
+    ok = fork_join(lambda: 1, lambda: threads.append(threading.current_thread()) or 2,
+                   OVERLAP_BATCH) == (1, 2) and threads == [threading.main_thread()]
+    ok = ok and predict_proba(model, x).tobytes() == expected.tobytes()
+    os._exit(0 if ok else 3)
+deadline = time.monotonic() + float(sys.argv[1])
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.05)
+os.kill(pid, signal.SIGKILL)
+os.waitpid(pid, 0)
+sys.exit("the forked child hung")
+"""
+
+
+def test_a_forked_child_runs_fork_join_and_predict_proba_in_turn():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", FORKED_CHILD, "60"], env=env, capture_output=True, text=True,
+        timeout=240,
+    )
+    assert out.returncode == 0, out.stderr

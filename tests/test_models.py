@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import re
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -19,8 +20,16 @@ from ppgemo.models import (
     model_config_to_dict,
 )
 from ppgemo.nn import Conv1d, Dropout, MaxPool1d, TcnSpec, walk
+from ppgemo.nn import layers
 from ppgemo.nn.layers import OVERLAP_BATCH
-from ppgemo.training import AdamState, TrainConfig, adam_step, predict_proba, weighted_cce_grad
+from ppgemo.training import (
+    INFER_PIECE_ROWS,
+    AdamState,
+    TrainConfig,
+    adam_step,
+    predict_proba,
+    weighted_cce_grad,
+)
 from oracles import float_tape_model
 
 DATA = Path(__file__).parent / "data"
@@ -550,3 +559,128 @@ def test_branches_on_the_helper_give_the_sequential_bytes(batch):
     for key, a in overlapped.items():
         assert a.dtype == sequential[key].dtype and a.shape == sequential[key].shape, key
         assert a.tobytes() == sequential[key].tobytes(), key
+
+
+def _in_worker(fn):
+    """fn() run on a fresh non-main thread, which makes one forward per batch."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join(timeout=300)
+    assert not worker.is_alive()
+    return out[0]
+
+
+def _forward_spy(model):
+    """Record (thread, rows) of every model.forward call."""
+    calls = []
+    forward = model.forward
+
+    def spy(x, *args):
+        calls.append((threading.current_thread(), len(x)))
+        return forward(x, *args)
+
+    model.forward = spy
+    return calls
+
+
+@pytest.mark.parametrize(
+    "batch, pieces",
+    # at 64-row pieces: 256 rows; 200, ending in a piece of 8; and 129, whose
+    # one-row tail joins the piece before it
+    [
+        (4 * INFER_PIECE_ROWS, [INFER_PIECE_ROWS] * 4),
+        (3 * INFER_PIECE_ROWS + 8, [INFER_PIECE_ROWS] * 3 + [8]),
+        (2 * INFER_PIECE_ROWS + 1, [INFER_PIECE_ROWS, INFER_PIECE_ROWS + 1]),
+    ],
+)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_infer_pieces_on_both_threads_give_the_one_forward_bytes(variant, batch, pieces):
+    model = build(replace(ModelConfig(), variant=variant), np.random.default_rng(1))
+    x = np.random.default_rng(2).standard_normal((batch, 6000, 1))
+    model.forward(x[:8], "train", np.random.default_rng(3))  # bn stats
+    calls = _forward_spy(model)
+    split = predict_proba(model, x)
+    assert sorted(n for _, n in calls) == sorted(pieces)
+    assert {t is threading.main_thread() for t, _ in calls} == {True, False}
+    calls.clear()
+    whole = _in_worker(lambda: predict_proba(model, x))
+    assert [n for _, n in calls] == [batch]
+    assert split.dtype == whole.dtype and split.shape == whole.shape == (batch, 2)
+    assert split.tobytes() == whole.tobytes()
+
+
+def _small_model(rng):
+    model = build(SMALL, rng)
+    model.forward(rng.standard_normal((4, 240, 1)), "train", rng)  # bn stats
+    return model
+
+
+@pytest.mark.parametrize(
+    "rows, pieces",
+    [
+        (2 * INFER_PIECE_ROWS + 2, [INFER_PIECE_ROWS, INFER_PIECE_ROWS, 2]),
+        # a one-row piece joins the one before it
+        (2 * INFER_PIECE_ROWS + 1, [INFER_PIECE_ROWS, INFER_PIECE_ROWS + 1]),
+    ],
+)
+def test_the_main_thread_deals_alternate_pieces_to_the_helper(rows, pieces, rng):
+    model = _small_model(rng)
+    calls = _forward_spy(model)
+    probs = predict_proba(model, rng.standard_normal((rows, 240, 1)))
+    assert probs.shape == (rows, 2)
+    on_main = [n for t, n in calls if t is threading.main_thread()]
+    on_helper = [n for t, n in calls if t is not threading.main_thread()]
+    assert on_main == pieces[0::2] and on_helper == pieces[1::2]
+
+
+def test_one_forward_per_batch_where_the_helper_cannot_overlap(rng):
+    model = _small_model(rng)
+    x = rng.standard_normal((2 * INFER_PIECE_ROWS + 2, 240, 1))
+    calls = _forward_spy(model)
+    main = threading.main_thread()
+    # on a worker thread
+    _in_worker(lambda: predict_proba(model, x))
+    assert [n for _, n in calls] == [len(x)] and calls[0][0] is not main
+    # batches below OVERLAP_BATCH, on the main thread
+    calls.clear()
+    predict_proba(model, x, batch_size=OVERLAP_BATCH - 1)
+    assert [n for _, n in calls] == [OVERLAP_BATCH - 1] * 4 + [len(x) - 4 * (OVERLAP_BATCH - 1)]
+    assert {t for t, _ in calls} == {main}
+    # while the helper is busy
+    calls.clear()
+    assert layers._HELPER_IDLE.acquire(blocking=False)
+    try:
+        predict_proba(model, x)
+    finally:
+        layers._HELPER_IDLE.release()
+    assert calls == [(main, len(x))]
+
+
+def test_infer_forwards_may_run_at_once_on_one_model():
+    # more threads than cores, switching often, each repeating its forward
+    model = build(ModelConfig(), np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    model.forward(rng.standard_normal((8, 6000, 1)), "train", rng)  # bn stats
+    inputs = [rng.standard_normal((40, 6000, 1)) for _ in range(3)]
+    expected = [model.forward(x, "infer").tobytes() for x in inputs]
+    start = threading.Barrier(len(inputs))
+    got = [[] for _ in inputs]
+
+    def run(i):
+        start.wait(timeout=60)
+        for _ in range(3):
+            got[i].append(model.forward(inputs[i], "infer").tobytes())
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert got == [[e] * 3 for e in expected]
