@@ -11,7 +11,8 @@ products are too small for a second BLAS thread to help, the main thread
 already uses the second core (see nn.layers.overlap), and conv weight
 gradients round differently under different BLAS thread counts. On the main
 thread, for batches of 32 rows or more, a two-branch model's LSTM, each conv
-backward's weight gradients, and every other 64-row piece of a scored batch
+backward's weight gradients, the second half of each trunk stage's batch
+rows, and every other 64-row piece of a scored batch
 (training.predict_proba) run on one helper thread. Fold threads and smaller
 batches run every part in turn and score each batch in one forward. The
 bytes are the same either way.

@@ -99,16 +99,18 @@ class Model:
     mode on forward.
 
     Every branch reads the trunk output; their features are concatenated
-    in branch order (a single branch feeds the head as it is). Given the
-    trunk output, the two branches of `cnn_tcn_lstm` are independent, so
-    forward and backward run them through `nn.layers.fork_join`: on the
-    main thread, for batches of `OVERLAP_BATCH` rows or more, the LSTM
-    runs on the helper thread while the TCN runs here. Only the TCN, the
-    first branch, is given the rng; the LSTM draws nothing, so every
-    dropout mask is drawn here, in the order of a sequential run. Each
-    branch computes what it computes alone, with the same operations in
-    the same order, so outputs and gradients are the same bytes whichever
-    thread runs them.
+    in branch order (a single branch feeds the head as it is). On the main
+    thread, for batches of `OVERLAP_BATCH` rows or more, each trunk stage
+    runs the second half of the batch's rows on the helper thread
+    (`nn.layers.each_half`). Given the trunk output, the two branches of
+    `cnn_tcn_lstm` are independent, so forward and backward run them
+    through `nn.layers.fork_join`: the LSTM runs on the helper while the
+    TCN runs here, and the TCN's convs split their rows once the LSTM is
+    done. Only the TCN, the first branch, is given the rng; the LSTM draws
+    nothing, so every dropout mask is drawn here, in the order of a
+    sequential run. Each branch and each half computes what it computes
+    alone, with the same operations in the same order, so outputs and
+    gradients are the same bytes whichever thread runs them.
     `shape_trace` records the (stage, shape) sequence of the latest
     forward call. Infer forwards may run at once on one model, as
     `training.predict_proba`'s pieces do: they change no state that another

@@ -32,16 +32,22 @@ such as ``block0.conv_a.W``, and ``kink_margin``.
 
 Independent computations may overlap on one helper thread: through
 ``fork_join``, the two branches of a two-branch model (the TCN in the
-caller, the LSTM on the helper) and a conv backward's dX and dW; and, through
-``overlap``, the row pieces of an infer batch that ``training.predict_proba``
-scores on both threads. Each array is still computed by the same operations
-in the same order, so the bytes do not change; only numpy's GEMM and ufunc
-loops, which release the GIL, run at the same time. The helper serves the
-main thread only, only while it is idle, and only for batches of
-``OVERLAP_BATCH`` rows or more: calls from other threads (LOSO fold workers,
-whose pool already keeps the cores busy), calls nested in a running overlap,
-calls in a forked child (which has no helper thread) and small batches run
-everything in turn.
+caller, the LSTM on the helper) and a conv backward's dX and dW; through
+``each_half``, the two halves of a batch's rows in conv forwards and in max
+pool, batch norm and dropout forwards and backwards, each half writing its
+own rows of one output; and, through ``overlap``, the row pieces of an infer
+batch that ``training.predict_proba`` scores on both threads. Each array is
+still computed by the same operations in the same order, so the bytes do not
+change; only numpy's GEMM and ufunc loops, which release the GIL, run at the
+same time. What combines rows stays whole, in the caller: batch norm's sums
+over batch and time, a conv's dW accumulation and every rng draw. The helper
+serves the main thread only, only while it is idle, and only for batches of
+``OVERLAP_BATCH`` rows or more. It is claimed per task and is idle again as
+soon as its task ends, so work nested in an overlap's first part (the TCN's
+convs, once the LSTM is done) gets it from then on. Calls from other threads
+(LOSO fold workers, whose pool already keeps the cores busy), calls made
+while the helper is busy, calls in a forked child (which has no helper
+thread) and small batches run everything in turn.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -81,17 +88,20 @@ CHUNK_ELEMS = 2**17
 BLOCK_ROWS = 4
 
 
-# Batch rows from which fork_join overlaps its two parts. In smaller batches
-# both parts are Python-bound: they only trade the GIL, and the hand-off costs
-# more than the overlap saves. cnn_tcn_lstm on the main thread, medians of 21
-# alternating calls in one process, in turn -> overlapped, ms, two processes:
-# B=8 train step 48.6 -> 50.8 and 43.1 -> 45.4, infer forward 14.8 -> 15.9
-# and 9.8 -> 13.1; B=16 step 67.3 -> 64.5 and 53.1 -> 57.3, infer 20.6 ->
-# 19.3 and 16.0 -> 16.8; B=32 step 115.0 -> 93.2 and 116.9 -> 95.4, infer
-# 35.2 -> 30.2 and 35.6 -> 30.2.
+# Batch rows from which fork_join overlaps its two parts and each_half splits
+# a stage's rows. In smaller batches both parts are Python-bound: they only
+# trade the GIL, and the hand-off costs more than the overlap saves.
+# cnn_tcn_lstm on the main thread, medians of 21 alternating calls in one
+# process, in turn -> overlapped, ms, two processes: B=8 train step 48.6 ->
+# 50.8 and 43.1 -> 45.4, infer forward 14.8 -> 15.9 and 9.8 -> 13.1; B=16 step
+# 67.3 -> 64.5 and 53.1 -> 57.3, infer 20.6 -> 19.3 and 16.0 -> 16.8; B=32
+# step 115.0 -> 93.2 and 116.9 -> 95.4, infer 35.2 -> 30.2 and 35.6 -> 30.2.
+# Row halves at B=32, both with the branches overlapped, stages in turn ->
+# halves, medians of 21 alternating train steps: 84.6 -> 80.7 and 66.2 ->
+# 61.1 ms (64 rows: 125.8 -> 112.0).
 OVERLAP_BATCH = 32
-# One worker thread, started by its first task; _HELPER_IDLE is held while
-# it runs one, so a task never queues behind another.
+# One worker thread, started by its first task; _HELPER_IDLE is held from a
+# task's claim until the task ends, so a task never waits behind another.
 _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ppgemo-helper")
 _HELPER_IDLE = threading.Lock()
 
@@ -112,8 +122,11 @@ def overlap(batch):
     `second` run on the helper thread as `first` runs in the caller, when a
     batch of `batch` rows may overlap now: from OVERLAP_BATCH rows, on the
     main thread, while the helper is idle, in the process that made it (a
-    forked child has none). Otherwise None. The helper stays claimed until
-    the block ends, so an overlap nested in it gets None."""
+    forked child has none). Otherwise None. A block calls `beside` at most
+    once. The helper is claimed per task: `second` frees it as soon as it
+    returns or raises, so an overlap nested in `first` gets the helper
+    from then on (and None before); a block that never calls `beside`
+    frees it at exit."""
     if (
         batch < OVERLAP_BATCH
         or _HELPER is None
@@ -122,19 +135,31 @@ def overlap(batch):
     ):
         yield None
         return
+    submitted = False
+
+    def beside(first, second):
+        nonlocal submitted
+        pending = _HELPER.submit(_freeing, second)
+        submitted = True
+        try:
+            out = first()
+        finally:
+            wait((pending,))
+        return out, pending.result()
+
     try:
-        yield _beside
+        yield beside
+    finally:
+        if not submitted:
+            _HELPER_IDLE.release()
+
+
+def _freeing(task):
+    """task() on the helper, which is idle again once it ends."""
+    try:
+        return task()
     finally:
         _HELPER_IDLE.release()
-
-
-def _beside(first, second):
-    pending = _HELPER.submit(second)
-    try:
-        out = first()
-    finally:
-        wait((pending,))
-    return out, pending.result()
 
 
 def fork_join(first, second, batch):
@@ -146,6 +171,20 @@ def fork_join(first, second, batch):
     order."""
     with overlap(batch) as beside:
         return beside(first, second) if beside else (first(), second())
+
+
+def each_half(n, part):
+    """part(rows) over the batch rows 0..n: as part(slice(0, h)) here and
+    part(slice(h, n)) on the helper, h = ceil(n/2), when `overlap(n)`
+    allows it; otherwise as part(slice(0, n)) here. Each part writes only
+    its own rows of outputs the caller allocated, so the halves need no
+    joining, and a part must not draw from an rng."""
+    with overlap(n) as beside:
+        if beside:
+            h = -(-n // 2)
+            beside(partial(part, slice(0, h)), partial(part, slice(h, n)))
+        else:
+            part(slice(0, n))
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -325,7 +364,8 @@ class Conv1d(Layer):
     filters]. The unfolded copy is built a few batch rows at a time, at
     most CHUNK_ELEMS elements each (or one row, if a row is larger), so its
     memory stays bounded whatever the batch size. Each chunk's product gets
-    the bias while it is still in cache.
+    the bias while it is still in cache. The two halves of the batch's rows
+    walk their own chunks, through each_half.
 
     With forward_block = BLOCK_ROWS (the trunk convs, as models.build makes
     them) one GEMM row of the forward computes BLOCK_ROWS consecutive output
@@ -417,15 +457,20 @@ class Conv1d(Layer):
         z = np.empty((xp.shape[0], len(range(start, self.output_len(t), step)), f))
         block = self.forward_block
         blocks = {b: _toeplitz(w, s * step, b) for b in {1, block}}
-        for sl, sel, b, cols in _windows(xp, k, start * s, s * step, z.shape[1], block):
-            zs = z[sl, sel]
-            # the product goes straight into z unless the chunk's rows skip
-            # the tail rows of a blocked forward
-            if zs.flags.c_contiguous:
-                np.matmul(cols, blocks[b], out=zs.reshape(-1, b * f))
-                zs += bias
-            else:
-                np.add((cols @ blocks[b]).reshape(zs.shape), bias, out=zs)
+
+        def part(rows):
+            zr = z[rows]
+            for sl, sel, b, cols in _windows(xp[rows], k, start * s, s * step, z.shape[1], block):
+                zs = zr[sl, sel]
+                # the product goes straight into z unless the chunk's rows
+                # skip the tail rows of a blocked forward
+                if zs.flags.c_contiguous:
+                    np.matmul(cols, blocks[b], out=zs.reshape(-1, b * f))
+                    zs += bias
+                else:
+                    np.add((cols @ blocks[b]).reshape(zs.shape), bias, out=zs)
+
+        each_half(len(z), part)
         return z
 
     def backward(self, dy):
@@ -516,30 +561,44 @@ class MaxPool1d(Layer):
             raise ShapeError(f"time axis {x.shape[1]} shorter than pool window {p}")
         end = x.shape[1] // p * p
         train = mode == "train"
-        beats = []  # beats[j - 1]: slot j is above every slot before it
-        out = x[:, 0:end:p]
-        for j in range(1, p):
-            slot = x[:, j:end:p]
+        out = np.empty((x.shape[0], end // p, x.shape[2]))
+        # beats[j - 1]: slot j is above every slot before it
+        beats = [np.empty(out.shape, dtype=bool) for _ in range(1, p)] if train else []
+        live = np.empty(out.shape, dtype=bool) if train else None
+
+        def part(rows):
+            top = x[rows, 0:end:p]
+            for j in range(1, p):
+                slot = x[rows, j:end:p]
+                if train:
+                    np.greater(slot, top, out=beats[j - 1][rows])
+                top = np.maximum(top, slot, out=out[rows])
             if train:
-                beats.append(slot > out)
-            out = np.maximum(out, slot)
-        self._record(mode, beats, out > 0.0 if train else None, x.shape)
-        # with p = 1, out is still a view of x
-        return np.maximum(out, 0.0, out=None if p == 1 else out)
+                np.greater(top, 0.0, out=live[rows])
+            # with p = 1, top is still a view of x
+            np.maximum(top, 0.0, out=out[rows])
+
+        each_half(len(x), part)
+        self._record(mode, beats, live, x.shape)
+        return out
 
     def backward(self, dy):
         beats, live, shape = self._tape()
         p = self.pool
         end = shape[1] // p * p
-        # dy * live, not a masked copy: a non-finite dy stays non-finite, as
-        # through the conv relu's dy * (z > 0)
-        g = dy * live
         dx = np.zeros(shape)
-        rest = np.ones(dy.shape, dtype=bool)  # windows not yet routed
-        for j in range(p - 1, 0, -1):
-            np.copyto(dx[:, j:end:p], g, where=beats[j - 1] & rest)
-            rest &= ~beats[j - 1]
-        np.copyto(dx[:, 0:end:p], g, where=rest)
+
+        def part(rows):
+            # dy * live, not a masked copy: a non-finite dy stays non-finite,
+            # as through the conv relu's dy * (z > 0)
+            g = dy[rows] * live[rows]
+            rest = np.ones(g.shape, dtype=bool)  # windows not yet routed
+            for j in range(p - 1, 0, -1):
+                np.copyto(dx[rows, j:end:p], g, where=beats[j - 1][rows] & rest)
+                rest &= ~beats[j - 1][rows]
+            np.copyto(dx[rows, 0:end:p], g, where=rest)
+
+        each_half(len(dy), part)
         return dx
 
 
@@ -572,6 +631,12 @@ class BatchNorm1d(Layer):
     only and fails if no training batch has ever been seen. Infer mode
     scales and shifts its own centred copy of x in place and returns it, so
     it makes one full-size array and leaves x unchanged.
+
+    The elementwise passes (centring and squaring, scaling, gamma and beta,
+    and backward's dx formula) run on the batch's two row halves through
+    each_half. The four sums over batch and time (the mean, the variance,
+    dgamma and dbeta) stay whole in the caller, so every statistic, running
+    buffer and gradient keeps its bits.
     """
 
     def __init__(self, channels: int):
@@ -590,12 +655,22 @@ class BatchNorm1d(Layer):
         x = check_input(self, x, mode, ("batch", "time", self.channels))
         buf = self.buffers
         n = x.shape[0] * x.shape[1]
+        gamma, beta = self.params["gamma"], self.params["beta"]
+        xhat = np.empty(x.shape)
+        # train mode squares xhat into out before the output goes there; no
+        # tape keeps an infer-mode xhat, so it becomes the output
+        out = np.empty(x.shape) if mode == "train" else xhat
         if mode == "train":
             # x.mean and x.var as numpy's _mean and _var compute them, bit
             # for bit, with the centred copy kept for xhat
             mean = x.sum(axis=(0, 1), keepdims=True) / n
-            xhat = x - mean
-            var = np.square(xhat).sum(axis=(0, 1)) / n
+
+            def centre(rows):
+                np.subtract(x[rows], mean, out=xhat[rows])
+                np.square(xhat[rows], out=out[rows])
+
+            each_half(len(x), centre)
+            var = out.sum(axis=(0, 1)) / n
             mean = mean[0, 0]
             # in-place so external references to the buffers stay live;
             # the first batch seeds the running stats outright, otherwise
@@ -613,28 +688,39 @@ class BatchNorm1d(Layer):
                     "batchnorm inference requested before any training batch"
                 )
             var = buf["running_var"]
-            xhat = x - buf["running_mean"]
+            mean = buf["running_mean"]
         inv = 1.0 / np.sqrt(var + BN_EPSILON)
-        xhat *= inv
+
+        def part(rows):
+            xr = xhat[rows]
+            if mode != "train":
+                np.subtract(x[rows], mean, out=xr)
+            xr *= inv
+            np.multiply(xr, gamma, out=out[rows])
+            out[rows] += beta
+
+        each_half(len(x), part)
         self._record(mode, xhat, inv, n)
-        if mode == "train":
-            out = self.params["gamma"] * xhat
-        else:  # no tape keeps xhat, so it becomes the output
-            out = np.multiply(xhat, self.params["gamma"], out=xhat)
-        out += self.params["beta"]
         return out
 
     def backward(self, dy):
         xhat, inv, n = self._tape()
-        dx = dy * xhat
+        dx = np.empty(dy.shape)
+        each_half(len(dy), lambda rows: np.multiply(dy[rows], xhat[rows], out=dx[rows]))
         dgamma = dx.sum(axis=(0, 1))
         dbeta = dy.sum(axis=(0, 1))
         self.grads = {"gamma": dgamma, "beta": dbeta}
+        scale = self.params["gamma"] * inv
+
         # batch statistics depend on every element, hence the centering terms
-        np.subtract(dy, dbeta / n, out=dx)
-        xhat *= dgamma / n  # _tape() handed xhat over, so it is scaled in place
-        dx -= xhat
-        dx *= self.params["gamma"] * inv
+        def part(rows):
+            d, xr = dx[rows], xhat[rows]
+            np.subtract(dy[rows], dbeta / n, out=d)
+            xr *= dgamma / n  # _tape() handed xhat over, so it is scaled in place
+            d -= xr
+            d *= scale
+
+        each_half(len(dy), part)
         return dx
 
 
@@ -670,8 +756,13 @@ class Dropout(Layer):
 
     def _scaled(self, a, keep):
         """a * keep / (1 - rate), rounded as a * (keep / (1 - rate)) is."""
-        out = a * keep
-        out *= 1.0 / (1.0 - self.rate)
+        out = np.empty(a.shape)
+
+        def part(rows):
+            np.multiply(a[rows], keep[rows], out=out[rows])
+            out[rows] *= 1.0 / (1.0 - self.rate)
+
+        each_half(len(a), part)
         return out
 
 

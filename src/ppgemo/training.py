@@ -238,9 +238,9 @@ def train(model, train_segments, val_segments, config: TrainConfig, seed: int, t
         raise DataError("empty training set")
     if not val_segments:
         raise DataError("empty validation set")
-    overlap = {s.subject_id for s in train_segments} & {s.subject_id for s in val_segments}
-    if overlap:
-        raise DataError(f"validation subjects leak into training: {sorted(overlap)}")
+    leaked = {s.subject_id for s in train_segments} & {s.subject_id for s in val_segments}
+    if leaked:
+        raise DataError(f"validation subjects leak into training: {sorted(leaked)}")
 
     x, y = segments_to_arrays(train_segments, target)
     xv, yv = segments_to_arrays(val_segments, target)

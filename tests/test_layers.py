@@ -1,5 +1,6 @@
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -25,7 +26,8 @@ from ppgemo.nn import (
     softmax,
 )
 from ppgemo.nn.gradcheck import maxpool_margin
-from ppgemo.nn.layers import BN_EPSILON, OVERLAP_BATCH, fork_join
+from ppgemo.nn import layers
+from ppgemo.nn.layers import BN_EPSILON, OVERLAP_BATCH, each_half, fork_join
 from oracles import maxpool
 
 
@@ -494,6 +496,106 @@ def test_fork_join_raises_after_both_finish_and_first_error_wins(fails, expected
     calls = []
     fork_join(_recorder(calls, "first"), _recorder(calls, "second"), OVERLAP_BATCH)
     assert dict(calls)["second"] is not threading.main_thread()
+
+
+def test_fork_join_nested_in_first_gets_the_helper_once_the_outer_second_returns():
+    calls = []
+
+    def outer_first():
+        # the outer second frees the helper when it returns
+        assert layers._HELPER_IDLE.acquire(timeout=30)
+        layers._HELPER_IDLE.release()
+        return fork_join(_recorder(calls, "a", "A"), _recorder(calls, "b", "B"), OVERLAP_BATCH)
+
+    assert fork_join(outer_first, _recorder(calls, "outer", 1), OVERLAP_BATCH) == (("A", "B"), 1)
+    threads = dict(calls)
+    assert threads["a"] is threading.main_thread()
+    assert threads["b"] is threads["outer"] is not threading.main_thread()
+
+
+def _raises(error):
+    def task():
+        raise error
+
+    return task
+
+
+def test_the_helper_is_idle_again_after_a_second_that_raises():
+    with pytest.raises(SecondError):
+        fork_join(lambda: None, _raises(SecondError), OVERLAP_BATCH)
+    assert layers._HELPER_IDLE.acquire(blocking=False)
+    layers._HELPER_IDLE.release()
+
+
+def test_an_overlap_that_never_submits_frees_the_helper_at_exit():
+    with layers.overlap(OVERLAP_BATCH) as beside:
+        assert beside is not None
+        assert not layers._HELPER_IDLE.acquire(blocking=False)
+    assert layers._HELPER_IDLE.acquire(blocking=False)
+    layers._HELPER_IDLE.release()
+
+
+def _halves(n):
+    """(rows, thread) of each part each_half(n, ...) runs, in row order."""
+    calls = []
+    each_half(n, lambda rows: calls.append((rows, threading.current_thread())))
+    return sorted(calls, key=lambda call: call[0].start)
+
+
+@pytest.mark.parametrize("n", [OVERLAP_BATCH, OVERLAP_BATCH + 1, 512])
+def test_each_half_runs_the_second_half_on_the_helper(n):
+    (first, here), (second, there) = _halves(n)
+    h = (n + 1) // 2
+    assert (first, second) == (slice(0, h), slice(h, n))
+    assert here is threading.main_thread() and there is not here
+
+
+def test_each_half_runs_one_part_where_the_helper_cannot_overlap():
+    main = threading.main_thread()
+    assert _halves(OVERLAP_BATCH - 1) == [(slice(0, OVERLAP_BATCH - 1), main)]
+    assert layers._HELPER_IDLE.acquire(blocking=False)
+    try:
+        assert _halves(OVERLAP_BATCH) == [(slice(0, OVERLAP_BATCH), main)]
+    finally:
+        layers._HELPER_IDLE.release()
+    out = []
+    worker = threading.Thread(target=lambda: out.append(_halves(64)))
+    worker.start()
+    worker.join(timeout=30)
+    assert out == [[(slice(0, 64), worker)]]
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("a claim of the helper was lost")
+
+
+def test_claims_under_fast_thread_switches_run_every_row_once():
+    # the outer second frees the helper while first is still claiming it for
+    # halves; a lost claim hangs a wait (the alarm ends it), a doubled one
+    # runs rows twice, and a leaked one leaves the helper busy
+    n = OVERLAP_BATCH
+    switch = sys.getswitchinterval()
+    alarm = signal.signal(signal.SIGALRM, _timed_out)
+    sys.setswitchinterval(1e-6)
+    signal.alarm(60)
+    try:
+        for _ in range(300):
+            a, b = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+
+            def mark(hits):
+                def part(rows):
+                    hits[rows] += 1
+
+                return lambda: each_half(n, part)
+
+            fork_join(lambda: [mark(a)() for _ in range(3)], mark(b), n)
+            assert (a == 3).all() and (b == 1).all()
+            assert layers._HELPER_IDLE.acquire(blocking=False)
+            layers._HELPER_IDLE.release()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, alarm)
+        sys.setswitchinterval(switch)
 
 
 # A process forked after the helper ran: the parent starts the helper, forks,

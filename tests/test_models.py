@@ -1,3 +1,4 @@
+import collections
 import importlib.util
 import json
 import re
@@ -5,6 +6,7 @@ import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from ppgemo.models import (
 )
 from ppgemo.nn import Conv1d, Dropout, MaxPool1d, TcnSpec, walk
 from ppgemo.nn import layers
-from ppgemo.nn.layers import OVERLAP_BATCH
+from ppgemo.nn.layers import OVERLAP_BATCH, each_half
 from ppgemo.training import (
     INFER_PIECE_ROWS,
     AdamState,
@@ -515,11 +517,15 @@ def test_perfbench_tracer_records_spans_flops_and_tapes(variant):
 
 def _paper_step_arrays(batch):
     """A cnn_tcn_lstm train step at paper shapes, then an infer pass: the
-    probabilities, gradients, post-Adam parameters and infer probabilities,
-    with the set of threads the LSTM ran on."""
+    probabilities, gradients, post-Adam parameters and buffers, and infer
+    probabilities; the set of threads the LSTM ran on in the step; and the
+    threads that ran each trunk stage's row parts in the step, keyed
+    (stage, "forward" or "backward")."""
     model = build(ModelConfig(), np.random.default_rng(1))
     lstm = model.branches["lstm"]
     threads = set()
+    stage = []  # the trunk call running now
+    parts = collections.defaultdict(set)
 
     def spy(fn):
         def call(*args):
@@ -528,33 +534,77 @@ def _paper_step_arrays(batch):
 
         return call
 
+    def in_stage(key, fn):
+        def call(*args):
+            stage.append(key)
+            try:
+                return fn(*args)
+            finally:
+                stage.pop()
+
+        return call
+
+    def halves(n, part):
+        def spied(rows):
+            if stage:
+                parts[stage[-1]].add(threading.current_thread())
+            return part(rows)
+
+        return each_half(n, spied)
+
     lstm.forward, lstm.backward = spy(lstm.forward), spy(lstm.backward)
+    for name, layer in model.trunk:
+        layer.forward = in_stage((name, "forward"), layer.forward)
+        layer.backward = in_stage((name, "backward"), layer.backward)
     rng = np.random.default_rng(2)
     x = rng.standard_normal((batch, 6000, 1))
     onehot = np.eye(2)[rng.integers(0, 2, batch)]
-    probs = model.forward(x, "train", np.random.default_rng(3))
-    model.backward(weighted_cce_grad(probs, onehot, np.array([0.7, 1.3])))
+    with mock.patch.object(layers, "each_half", halves):
+        probs = model.forward(x, "train", np.random.default_rng(3))
+        model.backward(weighted_cce_grad(probs, onehot, np.array([0.7, 1.3])))
+    for layer in [lstm] + [layer for _, layer in model.trunk]:
+        del layer.forward, layer.backward
     arrays = {"probs": probs, **{f"grad.{k}": v for k, v in model.grads().items()}}
     adam_step(model.params(), model.grads(), AdamState(model.params()), TrainConfig())
     arrays.update({f"param.{k}": v.copy() for k, v in model.params().items()})
+    arrays.update({f"buffer.{k}": v.copy() for k, v in model.buffers().items()})
     arrays["infer"] = predict_proba(model, x)
-    return arrays, threads
+    return arrays, threads, dict(parts)
 
 
-@pytest.mark.parametrize("batch", [3, OVERLAP_BATCH, 64])
+# every trunk stage splits its rows, but for the conv backwards: conv1's makes
+# no dX, and conv2's runs dX beside dW through fork_join
+SPLIT_STAGES = {
+    (name, way)
+    for name, _ in build(ModelConfig(), np.random.default_rng(0)).trunk
+    for way in ("forward", "backward")
+    if way == "forward" or not name.startswith("conv")
+}
+
+
+@pytest.mark.parametrize("batch", [3, OVERLAP_BATCH, 64, 65, 512])
 def test_branches_on_the_helper_give_the_sequential_bytes(batch):
-    # on the main thread the LSTM and each conv's dW run on the helper from
-    # OVERLAP_BATCH rows; in a worker thread everything runs in turn
-    overlapped, main_threads = _paper_step_arrays(batch)
+    # on the main thread, from OVERLAP_BATCH rows, the LSTM, each conv's dW
+    # and the second half of each trunk stage's rows run on the helper; in a
+    # worker thread everything runs in turn
+    overlapped, main_threads, main_parts = _paper_step_arrays(batch)
     out = []
     worker = threading.Thread(target=lambda: out.append(_paper_step_arrays(batch)))
     worker.start()
     worker.join(timeout=300)
     assert not worker.is_alive()
-    (sequential, worker_threads), = out
+    (sequential, worker_threads, worker_parts), = out
+    main = threading.main_thread()
     on_main = batch < OVERLAP_BATCH
-    assert main_threads and (threading.main_thread() in main_threads) == on_main
     assert worker_threads == {worker}
+    assert main_parts.keys() == worker_parts.keys() == SPLIT_STAGES
+    # one helper runs the LSTM and the second halves
+    helpers = set().union(*main_parts.values()) - {main}
+    assert main_threads == ({main} if on_main else helpers)
+    assert len(helpers) == (0 if on_main else 1)
+    for key in SPLIT_STAGES:
+        assert main_parts[key] == {main} | helpers, key
+        assert worker_parts[key] == {worker}, key
     assert overlapped.keys() == sequential.keys()
     for key, a in overlapped.items():
         assert a.dtype == sequential[key].dtype and a.shape == sequential[key].shape, key
