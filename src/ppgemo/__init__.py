@@ -8,14 +8,13 @@ leave-one-subject-out evaluation reported as AUC and F1 tables.
 Importing the package before numpy sets OPENBLAS_NUM_THREADS and
 OMP_NUM_THREADS to 1 unless the environment sets them: the model's matrix
 products are too small for a second BLAS thread to help, the main thread
-already uses the second core (see nn.layers.overlap), and conv weight
-gradients round differently under different BLAS thread counts. On the main
-thread, for batches of 32 rows or more, a two-branch model's LSTM, each conv
-backward's weight gradients, the second half of each trunk stage's batch
-rows, and every other 64-row piece of a scored batch
-(training.predict_proba) run on one helper thread. Fold threads and smaller
-batches run every part in turn and score each batch in one forward. The
-bytes are the same either way.
+already uses the second core (see nn.layers.fork_join and
+nn.layers.each_half), and conv weight gradients round differently under
+different BLAS thread counts. On the main thread, for batches of 32 rows or
+more, in train steps and in scoring alike, a two-branch model's LSTM, each
+conv backward's weight gradients and the second half of each trunk stage's
+batch rows run on one helper thread. Fold threads and smaller batches run
+every part in turn. The bytes are the same either way.
 """
 
 import os

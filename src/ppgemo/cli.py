@@ -54,6 +54,9 @@ class RunConfig:
             if not isinstance(getattr(self, name), str):
                 kind = "a comma-separated string" if name in lists else "a string"
                 raise ConfigError(f"'{name}' must be {kind}, got {getattr(self, name)!r}")
+        for name in ("dataset", "out_dir"):
+            if not getattr(self, name):
+                raise ConfigError(f"'{name}' must not be empty")
         for name in lists[2:]:
             try:
                 for subject in _ids(getattr(self, name)):
@@ -116,21 +119,24 @@ def resolve_run_config(args) -> RunConfig:
     train = {**file_cfg.get("train", {}), **{k: v for k, v in flags.items() if v is not None}}
     tcfg = _make(TrainConfig, train, "train")
 
-    seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
-    jobs = getattr(args, "jobs", None)
-    jobs = file_cfg.get("jobs", 1) if jobs is None else jobs
-    dataset = getattr(args, "dataset", None) or file_cfg.get("dataset")
-    if not dataset:
-        raise ConfigError(f"{args.command} needs --dataset (or 'dataset' in the config file)")
-    out_dir = getattr(args, "out", None) or file_cfg.get("out_dir", "out")
-    variant = getattr(args, "variant", None) or file_cfg.get("variant", mcfg.variant)
-    target = getattr(args, "target", None) or file_cfg.get("target", "valence")
-    split = {}
-    for name in ("val_subjects", "exclude_subjects"):
-        value = getattr(args, name, None)
-        split[name] = file_cfg.get(name, "") if value is None else value
+    def pick(flag, key, default):
+        """The flag's value if it was given (even ""), else the file's, else `default`."""
+        value = getattr(args, flag, None)
+        return file_cfg.get(key, default) if value is None else value
 
-    return RunConfig(fspec, sspec, mcfg, tcfg, dataset, out_dir, variant, target, seed, jobs, **split)
+    dataset = pick("dataset", "dataset", None)
+    if dataset is None:
+        raise ConfigError(f"{args.command} needs --dataset (or 'dataset' in the config file)")
+    return RunConfig(
+        fspec, sspec, mcfg, tcfg, dataset,
+        out_dir=pick("out", "out_dir", "out"),
+        variant=pick("variant", "variant", mcfg.variant),
+        target=pick("target", "target", "valence"),
+        seed=pick("seed", "seed", 0),
+        jobs=pick("jobs", "jobs", 1),
+        val_subjects=pick("val_subjects", "val_subjects", ""),
+        exclude_subjects=pick("exclude_subjects", "exclude_subjects", ""),
+    )
 
 
 def _check_out(path) -> Path:

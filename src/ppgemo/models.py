@@ -112,11 +112,11 @@ class Model:
     alone, with the same operations in the same order, so outputs and
     gradients are the same bytes whichever thread runs them.
     `shape_trace` records the (stage, shape) sequence of the latest
-    forward call. Infer forwards may run at once on one model, as
-    `training.predict_proba`'s pieces do: they change no state that another
-    infer forward reads, and `shape_trace` then holds the trace of the one
-    that finished last. Parameters are exposed as one flat dict of live
-    arrays keyed by dotted layer paths, which the optimizer updates in place.
+    forward call. Infer forwards may run at once on one model: they change
+    no state that another infer forward reads, and `shape_trace` then holds
+    the trace of the one that finished last. Parameters are exposed as one
+    flat dict of live arrays keyed by dotted layer paths, which the optimizer
+    updates in place.
     """
 
     def __init__(self, config: ModelConfig, trunk, branches, head):

@@ -30,29 +30,28 @@ layer)`` pairs (``[]`` for a leaf). A layer keeps only its own arrays in
 too) derives ``named_params`` and ``named_grads``, keyed by dotted paths
 such as ``block0.conv_a.W``, and ``kink_margin``.
 
-Independent computations may overlap on one helper thread: through
-``fork_join``, the two branches of a two-branch model (the TCN in the
-caller, the LSTM on the helper) and a conv backward's dX and dW; through
-``each_half``, the two halves of a batch's rows in conv forwards and in max
-pool, batch norm and dropout forwards and backwards, each half writing its
-own rows of one output; and, through ``overlap``, the row pieces of an infer
-batch that ``training.predict_proba`` scores on both threads. Each array is
-still computed by the same operations in the same order, so the bytes do not
-change; only numpy's GEMM and ufunc loops, which release the GIL, run at the
-same time. What combines rows stays whole, in the caller: batch norm's sums
-over batch and time, a conv's dW accumulation and every rng draw. The helper
-serves the main thread only, only while it is idle, and only for batches of
-``OVERLAP_BATCH`` rows or more. It is claimed per task and is idle again as
-soon as its task ends, so work nested in an overlap's first part (the TCN's
-convs, once the LSTM is done) gets it from then on. Calls from other threads
-(LOSO fold workers, whose pool already keeps the cores busy), calls made
-while the helper is busy, calls in a forked child (which has no helper
-thread) and small batches run everything in turn.
+Independent computations may overlap on one helper thread, in two ways:
+through ``fork_join``, the two branches of a two-branch model (the TCN in
+the caller, the LSTM on the helper) and a conv backward's dX and dW; and
+through ``each_half``, the two halves of a batch's rows in conv forwards and
+in max pool, batch norm and dropout forwards and backwards, each half writing
+its own rows of one output. Train steps and infer batches take the same
+paths. Each array is still computed by the same operations in the same
+order, so the bytes do not change; only numpy's GEMM and ufunc loops, which
+release the GIL, run at the same time. What combines rows stays whole, in the
+caller: batch norm's sums over batch and time, a conv's dW accumulation and
+every rng draw. The helper serves the main thread only, only while it is
+idle, and only for batches of ``OVERLAP_BATCH`` rows or more. It is claimed
+per task and is idle again as soon as its task ends, so work nested in a
+``fork_join``'s first part (the TCN's convs, once the LSTM is done) gets it
+from then on. Calls from other threads (LOSO fold workers, whose pool
+already keeps the cores busy), calls made while the helper is busy, calls in
+a forked child (which has no helper thread) and small batches run everything
+in turn.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -116,42 +115,34 @@ def _drop_helper():
 os.register_at_fork(after_in_child=_drop_helper)
 
 
-@contextlib.contextmanager
-def overlap(batch):
-    """`beside(first, second)`, which returns (first(), second()) with
-    `second` run on the helper thread as `first` runs in the caller, when a
-    batch of `batch` rows may overlap now: from OVERLAP_BATCH rows, on the
-    main thread, while the helper is idle, in the process that made it (a
-    forked child has none). Otherwise None. A block calls `beside` at most
-    once. The helper is claimed per task: `second` frees it as soon as it
-    returns or raises, so an overlap nested in `first` gets the helper
-    from then on (and None before); a block that never calls `beside`
-    frees it at exit."""
-    if (
-        batch < OVERLAP_BATCH
-        or _HELPER is None
-        or threading.current_thread() is not threading.main_thread()
-        or not _HELPER_IDLE.acquire(blocking=False)
-    ):
-        yield None
-        return
-    submitted = False
+def _claim(batch):
+    """True when the helper was taken for a batch of `batch` rows: from
+    OVERLAP_BATCH rows, on the main thread, while the helper is idle, in the
+    process that made it (a forked child has none). A claim is handed to
+    `_beside`, which frees the helper."""
+    return (
+        batch >= OVERLAP_BATCH
+        and _HELPER is not None
+        and threading.current_thread() is threading.main_thread()
+        and _HELPER_IDLE.acquire(blocking=False)
+    )
 
-    def beside(first, second):
-        nonlocal submitted
-        pending = _HELPER.submit(_freeing, second)
-        submitted = True
-        try:
-            out = first()
-        finally:
-            wait((pending,))
-        return out, pending.result()
 
+def _beside(first, second):
+    """(first(), second()) with `second` on the claimed helper as `first`
+    runs in the caller. `second` frees the helper as soon as it returns or
+    raises, so a claim nested in `first` gets the helper from then on; a
+    submit that raises frees it here."""
     try:
-        yield beside
+        pending = _HELPER.submit(_freeing, second)
+    except BaseException:
+        _HELPER_IDLE.release()
+        raise
+    try:
+        out = first()
     finally:
-        if not submitted:
-            _HELPER_IDLE.release()
+        wait((pending,))
+    return out, pending.result()
 
 
 def _freeing(task):
@@ -163,28 +154,26 @@ def _freeing(task):
 
 
 def fork_join(first, second, batch):
-    """(first(), second()), overlapped when `overlap(batch)` allows it;
-    otherwise both run here, `first` then `second`. Either way `second` has
-    finished before this returns or raises, and if both raise, `first`'s
-    error propagates. `first` keeps the caller's thread, so a task that draws
-    from an rng must be `first`: the draws then stay in the sequential
-    order."""
-    with overlap(batch) as beside:
-        return beside(first, second) if beside else (first(), second())
+    """(first(), second()), overlapped when the helper can be claimed for
+    `batch` rows; otherwise both run here, `first` then `second`. Either way
+    `second` has finished before this returns or raises, and if both raise,
+    `first`'s error propagates. `first` keeps the caller's thread, so a task
+    that draws from an rng must be `first`: the draws then stay in the
+    sequential order."""
+    return _beside(first, second) if _claim(batch) else (first(), second())
 
 
 def each_half(n, part):
     """part(rows) over the batch rows 0..n: as part(slice(0, h)) here and
-    part(slice(h, n)) on the helper, h = ceil(n/2), when `overlap(n)`
-    allows it; otherwise as part(slice(0, n)) here. Each part writes only
-    its own rows of outputs the caller allocated, so the halves need no
-    joining, and a part must not draw from an rng."""
-    with overlap(n) as beside:
-        if beside:
-            h = -(-n // 2)
-            beside(partial(part, slice(0, h)), partial(part, slice(h, n)))
-        else:
-            part(slice(0, n))
+    part(slice(h, n)) on the helper, h = ceil(n/2), when the helper can be
+    claimed for `n` rows; otherwise as part(slice(0, n)) here. Each part
+    writes only its own rows of outputs the caller allocated, so the halves
+    need no joining, and a part must not draw from an rng."""
+    if _claim(n):
+        h = -(-n // 2)
+        _beside(partial(part, slice(0, h)), partial(part, slice(h, n)))
+    else:
+        part(slice(0, n))
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:

@@ -7,10 +7,8 @@ best-validation parameters are restored when stopping.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -23,7 +21,6 @@ from .errors import (
     check_count,
     check_real,
 )
-from .nn.layers import overlap
 from .signals import Segment
 
 TARGETS = ("valence", "arousal")
@@ -34,15 +31,6 @@ PROB_FLOOR = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-# Rows per piece of an infer batch that predict_proba deals to the main and
-# helper threads. Larger pieces are faster but use more memory: the helper's
-# malloc arena keeps about one piece's transients. perfbench infer_b256
-# (256-window batches of the three variants), medians of 3 runs, against one
-# forward per batch at 109 ms and 174 MB peak RSS: 32-row pieces 92 ms and 181
-# MB; 64 rows 85 ms and 186 MB; 128 rows (halves) 74 ms and 186-203 MB, over
-# the benchmark's 10% memory bound in 2 of the 3 runs.
-INFER_PIECE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -193,35 +181,12 @@ def segments_to_arrays(segments: list[Segment], target: str) -> tuple[np.ndarray
 
 
 def predict_proba(model, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Infer-mode class probabilities, batched to bound memory.
-
-    A batch of more than INFER_PIECE_ROWS rows is cut into pieces that start
-    every INFER_PIECE_ROWS rows; a last piece of one row joins the piece
-    before it. Where `nn.layers.overlap` allows it (on the main thread, while
-    the helper thread is idle), the main thread scores the even pieces and
-    the helper the odd ones, into one output array. Everywhere else (fold
-    threads, smaller batches, nested calls) a batch is one forward. Infer
-    forwards treat rows independently, and these pieces give every row the
-    bytes of the whole batch's forward (the tests pin this at paper shapes);
-    a one-row piece would not, as numpy takes a one-row product through gemv.
-    """
-    n = x.shape[0]
-    out = np.empty((n, 2))
-
-    def score(pieces):
-        for rows in pieces:
-            out[rows] = model.forward(x[rows], "infer")
-
-    for i in range(0, n, batch_size):
-        end = min(i + batch_size, n)
-        starts = range(i, end - 1, INFER_PIECE_ROWS)
-        pieces = [slice(a, b) for a, b in zip(starts, [*starts[1:], end])]
-        # one piece is one forward, whose branches may still overlap
-        with overlap(end - i) if len(pieces) > 1 else contextlib.nullcontext() as beside:
-            if beside:
-                beside(partial(score, pieces[0::2]), partial(score, pieces[1::2]))
-            else:
-                score([slice(i, end)])
+    """Infer-mode class probabilities, batched to bound memory: one
+    `model.forward` per batch, whose trunk stages and branches use the
+    helper thread as a train step's do (see `nn.layers.fork_join`)."""
+    out = np.empty((x.shape[0], 2))
+    for i in range(0, x.shape[0], batch_size):
+        out[i : i + batch_size] = model.forward(x[i : i + batch_size], "infer")
     return out
 
 

@@ -715,6 +715,40 @@ def test_run_without_a_dataset_fails_before_anything_is_written(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+EMPTY_VALUES = {
+    "dataset-flag": (["--dataset", "", "--out", "{out}"], {}, "'dataset' must not be empty"),
+    "out-flag": (["--dataset", "{data}", "--out", ""], {}, "'out_dir' must not be empty"),
+    "variant-flag": (["--dataset", "{data}", "--out", "{out}", "--variant", ""], {},
+                     "variant must be one of"),
+    "target-flag": (["--dataset", "{data}", "--out", "{out}", "--target", ""], {},
+                    "target must be one of"),
+    "dataset-file": (["--out", "{out}"], {"dataset": ""}, "'dataset' must not be empty"),
+    "out-file": (["--dataset", "{data}"], {"out_dir": ""}, "'out_dir' must not be empty"),
+    "variant-file": (["--dataset", "{data}", "--out", "{out}"], {"variant": ""},
+                     "variant must be one of"),
+    "target-file": (["--dataset", "{data}", "--out", "{out}"], {"target": ""},
+                    "target must be one of"),
+}
+
+
+@pytest.mark.parametrize("case", EMPTY_VALUES)
+def test_an_empty_value_is_rejected_by_name_before_anything_is_written(
+    synth_dir, tmp_path, monkeypatch, capsys, case
+):
+    # "" is a value given, not a missing one: it must not fall back to the
+    # config file or the default (./out, valence)
+    argv, file_values, message = EMPTY_VALUES[case]
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, **file_values}))
+    paths = {"out": tmp_path / "out", "data": synth_dir}
+    assert main(["loso", "--config", str(config), *(a.format(**paths) for a in argv)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not any(cwd.iterdir())
+
+
 @pytest.mark.parametrize("flag", ["--exclude-subjects", "--val-subjects"])
 def test_train_rejects_an_unknown_subject(synth_dir, tmp_path, capsys, flag):
     # the error names the RunConfig key, whether the ids came from its flag

@@ -527,10 +527,23 @@ def test_the_helper_is_idle_again_after_a_second_that_raises():
     layers._HELPER_IDLE.release()
 
 
-def test_an_overlap_that_never_submits_frees_the_helper_at_exit():
-    with layers.overlap(OVERLAP_BATCH) as beside:
-        assert beside is not None
+@pytest.mark.parametrize(
+    "claim",
+    [
+        lambda: fork_join(lambda: 1, lambda: 2, OVERLAP_BATCH),
+        lambda: each_half(OVERLAP_BATCH, lambda rows: None),
+    ],
+    ids=["fork_join", "each_half"],
+)
+def test_a_submit_that_raises_frees_the_helper_and_propagates(claim, monkeypatch):
+    def refuse(*args):
+        # the claim was taken before the submit
         assert not layers._HELPER_IDLE.acquire(blocking=False)
+        raise RuntimeError("cannot schedule new futures")
+
+    monkeypatch.setattr(layers._HELPER, "submit", refuse)
+    with pytest.raises(RuntimeError, match="cannot schedule"):
+        claim()
     assert layers._HELPER_IDLE.acquire(blocking=False)
     layers._HELPER_IDLE.release()
 
@@ -608,12 +621,12 @@ import numpy as np
 from ppgemo.models import ModelConfig, ConvStage, build
 from ppgemo.nn.layers import OVERLAP_BATCH, fork_join
 from ppgemo.nn.tcn import TcnSpec
-from ppgemo.training import INFER_PIECE_ROWS, predict_proba
+from ppgemo.training import predict_proba
 
 config = ModelConfig(input_len=240, conv1=ConvStage(4, 16, 4), conv2=ConvStage(6, 8, 2),
                      tcn=TcnSpec(filters=3, kernel_size=4, dilations=(1, 2)), lstm_units=5)
 model = build(config, np.random.default_rng(0))
-x = np.random.default_rng(1).standard_normal((2 * INFER_PIECE_ROWS + 2, 240, 1))
+x = np.random.default_rng(1).standard_normal((130, 240, 1))
 model.forward(x[:8], "train", np.random.default_rng(2))
 threads = []
 assert fork_join(lambda: 1, lambda: threads.append(threading.current_thread()) or 2,

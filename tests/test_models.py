@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import importlib.util
 import json
 import re
@@ -25,7 +26,6 @@ from ppgemo.nn import Conv1d, Dropout, MaxPool1d, TcnSpec, walk
 from ppgemo.nn import layers
 from ppgemo.nn.layers import OVERLAP_BATCH, each_half
 from ppgemo.training import (
-    INFER_PIECE_ROWS,
     AdamState,
     TrainConfig,
     adam_step,
@@ -515,24 +515,13 @@ def test_perfbench_tracer_records_spans_flops_and_tapes(variant):
     assert metrics["trace.coverage_frac"] > 0
 
 
-def _paper_step_arrays(batch):
-    """A cnn_tcn_lstm train step at paper shapes, then an infer pass: the
-    probabilities, gradients, post-Adam parameters and buffers, and infer
-    probabilities; the set of threads the LSTM ran on in the step; and the
-    threads that ran each trunk stage's row parts in the step, keyed
-    (stage, "forward" or "backward")."""
-    model = build(ModelConfig(), np.random.default_rng(1))
-    lstm = model.branches["lstm"]
-    threads = set()
+@contextlib.contextmanager
+def _stage_parts(model):
+    """Yield a dict that records the threads that ran each trunk stage's
+    each_half parts within the block, keyed (stage, "forward" or
+    "backward")."""
     stage = []  # the trunk call running now
     parts = collections.defaultdict(set)
-
-    def spy(fn):
-        def call(*args):
-            threads.add(threading.current_thread())
-            return fn(*args)
-
-        return call
 
     def in_stage(key, fn):
         def call(*args):
@@ -552,18 +541,42 @@ def _paper_step_arrays(batch):
 
         return each_half(n, spied)
 
-    lstm.forward, lstm.backward = spy(lstm.forward), spy(lstm.backward)
     for name, layer in model.trunk:
         layer.forward = in_stage((name, "forward"), layer.forward)
         layer.backward = in_stage((name, "backward"), layer.backward)
+    try:
+        with mock.patch.object(layers, "each_half", halves):
+            yield parts
+    finally:
+        for _, layer in model.trunk:
+            del layer.forward, layer.backward
+
+
+def _paper_step_arrays(batch):
+    """A cnn_tcn_lstm train step at paper shapes, then an infer pass: the
+    probabilities, gradients, post-Adam parameters and buffers, and infer
+    probabilities; the set of threads the LSTM ran on in the step; and the
+    threads that ran each trunk stage's row parts in the step, keyed
+    (stage, "forward" or "backward")."""
+    model = build(ModelConfig(), np.random.default_rng(1))
+    lstm = model.branches["lstm"]
+    threads = set()
+
+    def spy(fn):
+        def call(*args):
+            threads.add(threading.current_thread())
+            return fn(*args)
+
+        return call
+
+    lstm.forward, lstm.backward = spy(lstm.forward), spy(lstm.backward)
     rng = np.random.default_rng(2)
     x = rng.standard_normal((batch, 6000, 1))
     onehot = np.eye(2)[rng.integers(0, 2, batch)]
-    with mock.patch.object(layers, "each_half", halves):
+    with _stage_parts(model) as parts:
         probs = model.forward(x, "train", np.random.default_rng(3))
         model.backward(weighted_cce_grad(probs, onehot, np.array([0.7, 1.3])))
-    for layer in [lstm] + [layer for _, layer in model.trunk]:
-        del layer.forward, layer.backward
+    del lstm.forward, lstm.backward
     arrays = {"probs": probs, **{f"grad.{k}": v for k, v in model.grads().items()}}
     adam_step(model.params(), model.grads(), AdamState(model.params()), TrainConfig())
     arrays.update({f"param.{k}": v.copy() for k, v in model.params().items()})
@@ -612,7 +625,7 @@ def test_branches_on_the_helper_give_the_sequential_bytes(batch):
 
 
 def _in_worker(fn):
-    """fn() run on a fresh non-main thread, which makes one forward per batch."""
+    """fn() run on a fresh non-main thread, which runs everything in turn."""
     out = []
     worker = threading.Thread(target=lambda: out.append(fn()))
     worker.start()
@@ -634,30 +647,45 @@ def _forward_spy(model):
     return calls
 
 
-@pytest.mark.parametrize(
-    "batch, pieces",
-    # at 64-row pieces: 256 rows; 200, ending in a piece of 8; and 129, whose
-    # one-row tail joins the piece before it
-    [
-        (4 * INFER_PIECE_ROWS, [INFER_PIECE_ROWS] * 4),
-        (3 * INFER_PIECE_ROWS + 8, [INFER_PIECE_ROWS] * 3 + [8]),
-        (2 * INFER_PIECE_ROWS + 1, [INFER_PIECE_ROWS, INFER_PIECE_ROWS + 1]),
-    ],
-)
+def _scored(model, x):
+    """predict_proba(model, x) with spies: the (thread, rows) of every
+    model.forward call, and the threads that ran each trunk stage's row
+    parts, keyed by stage name."""
+    calls = _forward_spy(model)
+    try:
+        with _stage_parts(model) as parts:
+            probs = predict_proba(model, x)
+    finally:
+        del model.forward
+    return probs, calls, {name: threads for (name, _), threads in parts.items()}
+
+
+@pytest.mark.parametrize("batch", [1, 3, OVERLAP_BATCH, 65, 129, 200, 256, 512])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_infer_pieces_on_both_threads_give_the_one_forward_bytes(variant, batch, pieces):
+def test_predict_proba_on_the_main_thread_gives_the_in_turn_bytes(variant, batch):
+    # one forward per batch of predict_proba's 256 rows on the calling
+    # thread; on the main thread, from OVERLAP_BATCH rows, every trunk stage
+    # but dropout (the identity in infer mode) splits its rows with the
+    # helper, and in a worker thread everything runs in turn
     model = build(replace(ModelConfig(), variant=variant), np.random.default_rng(1))
     x = np.random.default_rng(2).standard_normal((batch, 6000, 1))
     model.forward(x[:8], "train", np.random.default_rng(3))  # bn stats
-    calls = _forward_spy(model)
-    split = predict_proba(model, x)
-    assert sorted(n for _, n in calls) == sorted(pieces)
-    assert {t is threading.main_thread() for t, _ in calls} == {True, False}
-    calls.clear()
-    whole = _in_worker(lambda: predict_proba(model, x))
-    assert [n for _, n in calls] == [batch]
-    assert split.dtype == whole.dtype and split.shape == whole.shape == (batch, 2)
-    assert split.tobytes() == whole.tobytes()
+    main, (on_main, main_calls, main_parts) = threading.main_thread(), _scored(model, x)
+    (in_turn, worker_calls, worker_parts), worker = _in_worker(
+        lambda: (_scored(model, x), threading.current_thread())
+    )
+    batches = [min(256, batch - i) for i in range(0, batch, 256)]
+    assert main_calls == [(main, n) for n in batches]
+    assert worker_calls == [(worker, n) for n in batches]
+    stages = {name for name, layer in model.trunk if not isinstance(layer, Dropout)}
+    assert main_parts.keys() == worker_parts.keys() == stages
+    helpers = set().union(*main_parts.values()) - {main}
+    assert len(helpers) == (batch >= OVERLAP_BATCH)
+    for name in stages:
+        assert main_parts[name] == {main} | helpers, name
+        assert worker_parts[name] == {worker}, name
+    assert on_main.dtype == in_turn.dtype and on_main.shape == in_turn.shape == (batch, 2)
+    assert on_main.tobytes() == in_turn.tobytes()
 
 
 def _small_model(rng):
@@ -666,27 +694,9 @@ def _small_model(rng):
     return model
 
 
-@pytest.mark.parametrize(
-    "rows, pieces",
-    [
-        (2 * INFER_PIECE_ROWS + 2, [INFER_PIECE_ROWS, INFER_PIECE_ROWS, 2]),
-        # a one-row piece joins the one before it
-        (2 * INFER_PIECE_ROWS + 1, [INFER_PIECE_ROWS, INFER_PIECE_ROWS + 1]),
-    ],
-)
-def test_the_main_thread_deals_alternate_pieces_to_the_helper(rows, pieces, rng):
-    model = _small_model(rng)
-    calls = _forward_spy(model)
-    probs = predict_proba(model, rng.standard_normal((rows, 240, 1)))
-    assert probs.shape == (rows, 2)
-    on_main = [n for t, n in calls if t is threading.main_thread()]
-    on_helper = [n for t, n in calls if t is not threading.main_thread()]
-    assert on_main == pieces[0::2] and on_helper == pieces[1::2]
-
-
 def test_one_forward_per_batch_where_the_helper_cannot_overlap(rng):
     model = _small_model(rng)
-    x = rng.standard_normal((2 * INFER_PIECE_ROWS + 2, 240, 1))
+    x = rng.standard_normal((130, 240, 1))
     calls = _forward_spy(model)
     main = threading.main_thread()
     # on a worker thread
